@@ -1,4 +1,4 @@
-"""Ablations on the design choices DESIGN.md calls out.
+"""Ablations on the design choices of the paper's §4 framework.
 
 * ``exp_ablation_lambda`` — the λ blend of Algorithm 1 (rolling-only vs
   GBDT-only vs mixtures).

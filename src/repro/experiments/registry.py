@@ -1,4 +1,5 @@
-"""Experiment registry: id -> spec (see DESIGN.md §4 for the index).
+"""Experiment registry: id -> spec (``python -m repro.experiments.runner``
+prints the index; README.md "The experiment runner" documents the CLI).
 
 Beyond the id -> callable mapping, each :class:`ExperimentSpec` declares
 orchestration metadata:

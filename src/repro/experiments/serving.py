@@ -44,7 +44,7 @@ SERVE_SMOKE_MAX_JOBS = 1_200
 #: shards streamed from a live simulator replay
 SERVE_REPLAY_CLUSTERS = ("Venus",)
 
-#: chaos exhibit: one supervised shard, SIGKILLed mid-stream and resumed
+#: chaos exhibit: one routed shard, SIGKILLed mid-stream and resumed
 SERVE_CHAOS_CLUSTERS = ("Venus",)
 SERVE_CHAOS_KILL_BATCH = 130
 SERVE_CHAOS_CHECKPOINT_EVERY = 50
@@ -136,16 +136,18 @@ def exp_serve_chaos() -> dict:
     """Kill a serving shard mid-stream; prove crash-recovery parity.
 
     The baseline serves one shard fault-free.  The chaos run serves the
-    *same* shard under supervision with a deterministic
-    :class:`~repro.framework.faults.FaultPlan` that SIGKILLs the worker
-    at micro-batch 130 (between the second and third checkpoints); the
-    supervisor restarts it, the new attempt resumes from the last
-    checkpoint, and the exhibit asserts the recovered report's parity
-    surface is byte-identical to the baseline's.  Every field in the
-    payload is deterministic, so this exhibit carries a golden.
+    *same* shard through the serve-net router (one worker) with a
+    deterministic :class:`~repro.framework.faults.FaultPlan` that
+    SIGKILLs the worker at micro-batch 130 (between the second and
+    third checkpoints); the router respawns it, the new attempt resumes
+    from the last checkpoint the worker shipped, and the exhibit asserts
+    the recovered report's parity surface is byte-identical to the
+    baseline's.  The ``supervision`` field is the router's attempt log.
+    Every field in the payload is deterministic, so this exhibit carries
+    a golden.
     """
-    from ..framework import FaultPlan, FaultSpec, Supervision, SupervisionLog
-    from ..serve import serve_clusters
+    from ..framework import FaultPlan, FaultSpec
+    from ..serve import NetConfig, serve_clusters, serve_clusters_net
 
     shard_kwargs = dict(
         config=smoke_serve_config(),
@@ -162,20 +164,16 @@ def exp_serve_chaos() -> dict:
             for c in SERVE_CHAOS_CLUSTERS
         ),
     )
-    log = SupervisionLog()
-    recovered = serve_clusters(
+    (recovered,), stats = serve_clusters_net(
         SERVE_CHAOS_CLUSTERS,
-        jobs=1,
         **shard_kwargs,
-        supervised=True,
-        supervision=Supervision(
-            timeout_s=600.0, max_retries=2,
-            backoff_base_s=0.01, backoff_cap_s=0.05,
-        ),
-        fault_plan=plan,
         checkpoint_every=SERVE_CHAOS_CHECKPOINT_EVERY,
-        log=log,
-    )[0]
+        fault_plan=plan,
+        net=NetConfig(workers=1, max_retries=2,
+                      backoff_base_s=0.01, backoff_cap_s=0.05),
+    )
+    outcomes = [outcome for _, _, outcome in stats.attempts]
+    retries = sum(outcome != "ok" for outcome in outcomes)
 
     parity = recovered.parity_bytes() == baseline.parity_bytes()
     if not parity:
@@ -189,8 +187,7 @@ def exp_serve_chaos() -> dict:
         f"shard {baseline.cluster}: {baseline.events} events, "
         f"kill at batch {SERVE_CHAOS_KILL_BATCH}, "
         f"checkpoint every {SERVE_CHAOS_CHECKPOINT_EVERY} batches",
-        f"supervision: {log.retries()} retry "
-        f"({', '.join(o for _, _, o in log.events)})",
+        f"supervision: {retries} retry ({', '.join(outcomes)})",
         f"parity: recovered report == baseline report "
         f"(qssf digest {baseline.qssf_digest[:16]}…)",
     ]
@@ -199,7 +196,10 @@ def exp_serve_chaos() -> dict:
         "baseline": baseline.parity_dict(),
         "recovered": recovered.parity_dict(),
         "retries": recovered.retries,
-        "supervision": log.as_dict(),
+        "supervision": {
+            "events": [list(attempt) for attempt in stats.attempts],
+            "retries": retries,
+        },
         "kill_batch": SERVE_CHAOS_KILL_BATCH,
         "checkpoint_every": SERVE_CHAOS_CHECKPOINT_EVERY,
         "clusters": list(SERVE_CHAOS_CLUSTERS),

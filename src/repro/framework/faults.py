@@ -10,19 +10,17 @@ environment variable (fork inherits the parent's environment), so the
 same plan + seed replays the identical fault sequence bit-for-bit —
 the property the crash-recovery parity suite relies on.
 
-Fault kinds:
+Process fault kinds (:data:`FAULT_KINDS`), fired inside a serve-net
+shard worker (:class:`repro.serve.net.worker.ShardHost`):
 
 * ``crash``      — the worker process SIGKILLs itself (no cleanup, no
-  goodbye message): the supervisor sees a silent death.
-* ``hang``       — the worker stalls (heartbeats stop) until the
-  supervisor's timeout kills it.
-* ``slow_start`` — the worker sleeps ``delay_s`` before doing work;
-  exercises timeout headroom without failing.
-* ``corrupt``    — the worker's result is wrapped in
-  :class:`CorruptPayload`; the supervisor treats it as a failed
-  attempt.
-* ``exception``  — the worker raises :class:`TransientWorkerFault`, a
-  retryable error with a full remote traceback.
+  goodbye message): the router sees a hangup.
+* ``hang``       — the worker stalls (acks stop) until the router's RPC
+  deadline takes the link down.
+* ``slow_start`` — the worker sleeps ``delay_s``; exercises deadline
+  headroom without failing.
+* ``exception``  — the worker raises :class:`TransientWorkerFault`; the
+  process dies with the traceback and the shard is retried.
 
 Network fault kinds (:data:`NET_FAULT_KINDS`) are injected at the
 serving control plane's *framing* layer (:mod:`repro.serve.net.framing`)
@@ -56,7 +54,6 @@ __all__ = [
     "FAULT_KINDS",
     "FAULT_PLAN_ENV",
     "NET_FAULT_KINDS",
-    "CorruptPayload",
     "FaultPlan",
     "FaultSpec",
     "TransientWorkerFault",
@@ -65,8 +62,8 @@ __all__ = [
     "installed_fault_plan",
 ]
 
-#: process-level kinds, fired inside a supervised worker
-FAULT_KINDS = ("crash", "hang", "slow_start", "corrupt", "exception")
+#: process-level kinds, fired inside a shard worker
+FAULT_KINDS = ("crash", "hang", "slow_start", "exception")
 #: network-level kinds, fired at the serve-net framing layer
 NET_FAULT_KINDS = ("drop", "delay", "duplicate", "partition")
 ALL_FAULT_KINDS = FAULT_KINDS + NET_FAULT_KINDS
@@ -80,22 +77,14 @@ class TransientWorkerFault(RuntimeError):
 
 
 @dataclass(frozen=True)
-class CorruptPayload:
-    """Marker wrapping a worker result that was corrupted in flight."""
-
-    payload: object = None
-
-
-@dataclass(frozen=True)
 class FaultSpec:
     """One planned fault.
 
     ``key``     — the worker label the fault targets (e.g. a cluster name).
     ``attempt`` — the retry attempt (0 = first try) on which it fires.
     ``at``      — progress index at which it fires; ``None`` fires at
-    worker startup, before any work is done.  Progress is whatever the
-    task reports via ``WorkerContext.maybe_fault(progress)`` — the
-    serving shard reports its stream-batch index.
+    worker startup, before any work is done.  For process kinds it is
+    the shard's stream-batch index.
     ``delay_s`` — sleep length for ``slow_start`` (and an optional cap
     for ``hang``; 0 means "hang until killed"); delivery lateness for
     the network ``delay`` kind.

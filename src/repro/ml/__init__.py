@@ -1,7 +1,8 @@
 """Learning substrate: GBDT, encoders, text similarity, forecasters.
 
 Everything is implemented from scratch on numpy (no sklearn/LightGBM in
-the offline environment); see DESIGN.md §2 for the substitution notes.
+the offline environment): the GBDT stands in for the paper's LightGBM
+models; README.md "Batched model-fit engine" describes the fit paths.
 """
 
 from .arima import ARIMAForecaster

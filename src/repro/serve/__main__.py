@@ -16,9 +16,11 @@ Each cluster becomes one shard: a :class:`PredictionServer` fitted on
 the cluster's history serving that cluster's replayed event stream,
 with per-shard throughput and decision-latency telemetry.  ``--net``
 routes the shards through the :mod:`repro.serve.net` control plane
-(consistent-hash placement, bounded queues, retries/reroutes);
-``--listen`` exposes the same plane as a TCP front door and
-``--connect`` drives a remote one as a load-generating client.
+(consistent-hash placement, bounded queues, retries/reroutes, crash
+recovery from checkpoints) — the one fault-tolerant way to serve, so
+``--fault-plan`` implies it; ``--listen`` exposes the same plane as a
+TCP front door and ``--connect`` drives a remote one as a
+load-generating client.
 """
 
 from __future__ import annotations
@@ -27,11 +29,13 @@ import argparse
 import difflib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .. import obs
 from ..experiments.common import CLUSTERS
-from ..framework import FaultPlan, Supervision, SupervisionLog
+from ..framework import FaultPlan
+from .net import NetConfig
 from .runtime import serve_clusters
 from .server import ServeConfig
 from .telemetry import aggregate_reports
@@ -54,7 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--speedup", type=float, default=None, metavar="X",
-        help="stream-seconds per wall-second (default: as fast as possible)",
+        help="stream-seconds per wall-second (default: as fast as possible; "
+             "in-process serving only)",
     )
     parser.add_argument(
         "--days", type=float, default=3.0, metavar="D",
@@ -81,24 +86,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="freeze models: serve decisions without observing the stream",
     )
     parser.add_argument(
-        "--supervised", action="store_true",
-        help="run each shard under a watched worker (heartbeats, retries, "
-             "crash recovery)",
-    )
-    parser.add_argument(
         "--checkpoint-every", type=int, default=None, metavar="K",
-        help="checkpoint every K micro-batches (supervised shards resume "
+        help="checkpoint every K micro-batches (net-mode shards resume "
              "from the last checkpoint after a crash)",
     )
     parser.add_argument(
         "--fault-plan", default=None, metavar="JSON|PATH",
         help="deterministic fault-injection plan (inline JSON or a file "
-             "path); implies --supervised",
+             "path); implies --net",
     )
     parser.add_argument(
         "--max-retries", type=int, default=2, metavar="N",
-        help="retry budget per shard attempt, for both the supervisor and "
-             "the net router (default 2)",
+        help="net router retry budget per shard (default 2)",
     )
     parser.add_argument(
         "--retry-base", type=float, default=0.05, metavar="S",
@@ -220,7 +219,12 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             print(f"error: bad --fault-plan: {exc}", file=sys.stderr)
             return 2
-    net_mode = args.net or args.listen is not None
+    net_mode = args.net or args.listen is not None or fault_plan is not None
+    if args.speedup is not None and net_mode:
+        print("error: --speedup paces in-process serving only; the net "
+              "router (--net/--listen/--fault-plan) never paces batches",
+              file=sys.stderr)
+        return 2
     if args.replicas < 1:
         print(f"error: --replicas must be >= 1, got {args.replicas}",
               file=sys.stderr)
@@ -233,9 +237,8 @@ def main(argv: list[str] | None = None) -> int:
         print("error: --replicas > 1 is a --net drive-mode feature "
               "(listen mode addresses shards by cluster)", file=sys.stderr)
         return 2
-    supervised = (args.supervised or fault_plan is not None) and not net_mode
     try:
-        supervision = Supervision(
+        retry = NetConfig(
             max_retries=args.max_retries,
             backoff_base_s=args.retry_base,
             backoff_cap_s=args.retry_cap,
@@ -258,21 +261,15 @@ def main(argv: list[str] | None = None) -> int:
     if args.connect is not None:
         return _run_connect(args, clusters, config)
 
-    log = SupervisionLog() if supervised else None
     net_stats = None
     if net_mode:
-        from .net import FrontDoor, NetConfig, serve_clusters_net
+        from . import net
 
-        netcfg = NetConfig(
-            workers=args.workers,
-            queue_bound=args.queue_bound,
-            max_retries=args.max_retries,
-            backoff_base_s=args.retry_base,
-            backoff_cap_s=args.retry_cap,
-        )
+        netcfg = replace(retry, workers=args.workers,
+                         queue_bound=args.queue_bound)
         if args.listen is not None:
             return _run_listen(args, clusters, config, netcfg, fault_plan)
-        reports, net_stats = serve_clusters_net(
+        reports, net_stats = net.serve_clusters_net(
             clusters,
             config,
             history_days=args.history_days,
@@ -292,11 +289,6 @@ def main(argv: list[str] | None = None) -> int:
             stream_days=args.days,
             max_jobs=args.max_jobs,
             speedup=args.speedup,
-            supervised=supervised,
-            supervision=supervision if supervised else None,
-            fault_plan=fault_plan,
-            checkpoint_every=args.checkpoint_every,
-            log=log,
         )
 
     for report in reports:
@@ -324,11 +316,6 @@ def main(argv: list[str] | None = None) -> int:
             f"distribution ({agg['qssf_latency']['count']} decisions)"
         )
 
-    if log is not None and log.events:
-        print(
-            f"supervision: {log.retries()} retried attempt(s) across "
-            f"{len(log.events)} event(s)"
-        )
     if net_stats is not None:
         s = net_stats.as_dict()
         print(
@@ -339,8 +326,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.json is not None:
         payload = {"shards": [r.as_dict() for r in reports], "aggregate": agg}
-        if log is not None:
-            payload["supervision"] = log.as_dict()
         if net_stats is not None:
             payload["net"] = net_stats.as_dict()
         args.json.parent.mkdir(parents=True, exist_ok=True)

@@ -5,7 +5,7 @@ Two entry modes share one :class:`~repro.serve.net.router.Router`:
 * **Local drive** (:meth:`FrontDoor.run`, or the
   :func:`serve_clusters_net` convenience) — the front door builds each
   shard's event stream itself and routes every micro-batch to the
-  worker pool; the network-parity sibling of
+  worker pool; the fault-tolerant, network-parity sibling of
   :func:`repro.serve.runtime.serve_clusters`.
 * **Listen** (:meth:`FrontDoor.serve`) — a TCP accept loop on
   loopback/LAN: external clients ``open`` a shard, push submit/finish/
@@ -32,13 +32,12 @@ import numpy as np
 
 from ...experiments import common
 from ...framework.faults import FaultPlan, installed_fault_plan
-from ...framework.supervise import Supervision, backoff_delay
 from ...obs import collect as obs
 from ..runtime import ShardTask
 from ..server import ServeConfig
 from ..stream import EventBatch
 from .framing import FramedConn, pack, unpack
-from .router import NetConfig, NetStats, Router
+from .router import NetConfig, NetStats, Router, backoff_delay
 
 __all__ = ["FrontDoor", "FrontDoorClient", "serve_clusters_net"]
 
@@ -189,8 +188,8 @@ class FrontDoorClient:
     """Blocking request-reply client for a listening front door.
 
     Busy-retry shape: each rejected push waits the larger of the
-    server's ``retry_after_s`` hint and the shared
-    :func:`~repro.framework.supervise.backoff_delay` (capped exponential
+    server's ``retry_after_s`` hint and the router's
+    :func:`~repro.serve.net.router.backoff_delay` (capped exponential
     with deterministic ``stable_seed`` jitter), never longer than
     ``retry_cap_s``, and gives up with a clear error after
     ``max_retries`` attempts instead of retrying forever.
@@ -201,12 +200,9 @@ class FrontDoorClient:
                  retry_cap_s: float = 0.5) -> None:
         self.sock = socket.create_connection((host, port), timeout=timeout_s)
         self._buf = bytearray()
-        self._sup = Supervision(
-            timeout_s=None,
-            max_retries=max_retries,
-            backoff_base_s=retry_base_s,
-            backoff_cap_s=retry_cap_s,
-        )
+        self.max_retries = max_retries
+        self.retry_base_s = retry_base_s
+        self.retry_cap_s = retry_cap_s
 
     def request(self, msg: dict, fmt: str = "json") -> dict:
         self.sock.sendall(pack(msg, fmt=fmt))
@@ -237,23 +233,23 @@ class FrontDoorClient:
             "kind": int(batch.kind), "time": float(batch.time),
             "refs": [int(r) for r in batch.refs],
         }
-        sup = self._sup
         last_hint = 0.0
-        for attempt in range(sup.max_retries + 1):
+        for attempt in range(self.max_retries + 1):
             reply = self.request(msg)
             if reply.get("op") != "busy":
                 return reply
             last_hint = float(reply.get("retry_after_s", 0.0))
-            if attempt == sup.max_retries:
+            if attempt == self.max_retries:
                 break
             delay = max(
                 last_hint,
-                backoff_delay(f"frontdoor:{cluster}:{bi}", attempt + 1, sup),
+                backoff_delay(f"frontdoor:{cluster}:{bi}", attempt + 1,
+                              self.retry_base_s, self.retry_cap_s),
             )
-            time.sleep(min(delay, sup.backoff_cap_s))
+            time.sleep(min(delay, self.retry_cap_s))
         raise TimeoutError(
             f"front door stayed busy for {cluster} bi={bi} after "
-            f"{sup.max_retries} retries (last retry_after_s={last_hint:g})"
+            f"{self.max_retries} retries (last retry_after_s={last_hint:g})"
         )
 
     def wait_done(self, cluster: str, timeout_s: float = 600.0,

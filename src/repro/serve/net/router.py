@@ -12,9 +12,9 @@ stops making progress:
 1. **healthy** — stream batches, collect acks (checkpoints piggyback).
 2. **retrying** — the per-RPC deadline expired: rewind to the acked
    cursor and resend after a capped exponential backoff whose jitter is
-   deterministic (:func:`~repro.framework.supervise.backoff_delay` over
-   ``stable_seed``, never the wall clock).  Workers skip duplicate
-   batch indices, so resends are idempotent by construction.
+   deterministic (:func:`backoff_delay` over ``stable_seed``, never the
+   wall clock).  Workers skip duplicate batch indices, so resends are
+   idempotent by construction.
 3. **degraded-to-sibling** — the retry budget is spent or the link died
    (socket EOF, dead process, expired heartbeat): the link is taken
    down (and respawned with a fresh epoch when budget remains), and
@@ -35,6 +35,12 @@ cluster.  Cumulative acks carry each shard's model version vector; a
 worker that misses a broadcast re-requests by version, so SIGKILL or
 partition mid-broadcast converges to the same lineage.
 
+Every attempt a shard makes ends in one recorded outcome
+(:attr:`NetStats.attempts`): ``crash`` when its worker hangs up,
+``timeout`` when the link is declared dead by heartbeat or by the
+breaker (unresponsive past the retry budget), ``ok`` when the report
+arrives.  The failed ones fill :attr:`ShardReport.retries`.
+
 Network faults (``drop``/``delay``/``duplicate``/``partition``) inject
 at each link's framing layer, keyed by ``("link:<worker>", epoch,
 frame seq)`` — see :class:`~repro.serve.net.framing.NetFaultFilter`.
@@ -51,8 +57,7 @@ import time
 from dataclasses import dataclass, field
 
 from ...framework.faults import FaultPlan
-from ...framework.parallel import fork_available
-from ...framework.supervise import HeartbeatMonitor, Supervision, backoff_delay
+from ...framework.parallel import fork_available, stable_seed
 from ...obs import collect as obs
 from ..runtime import ShardTask, build_shard, build_stream
 from ..server import ServingSession
@@ -61,15 +66,61 @@ from .hashring import HashRing
 from .replicate import ModelUpdateHub, replica_slice
 from .worker import worker_main
 
-__all__ = ["NetConfig", "NetStats", "Router", "RouteState", "WorkerLink"]
+__all__ = [
+    "HeartbeatMonitor",
+    "NetConfig",
+    "NetStats",
+    "Router",
+    "RouteState",
+    "WorkerLink",
+    "backoff_delay",
+]
+
+
+def backoff_delay(label: str, attempt: int, base_s: float, cap_s: float) -> float:
+    """Bounded exponential backoff before retry ``attempt`` (1-based).
+
+    Jitter comes from :func:`stable_seed` over (label, attempt), not the
+    wall clock, so a replayed chaos run waits the identical schedule.
+    """
+    if attempt <= 0:
+        return 0.0
+    base = base_s * (2.0 ** (attempt - 1))
+    jitter = stable_seed(f"backoff:{label}", attempt) / 2.0**32  # [0, 1)
+    return min(base * (1.0 + jitter), cap_s)
+
+
+class HeartbeatMonitor:
+    """Liveness tracking from any proof-of-life signal (acks, pongs):
+    records the gap between beats and expires after ``timeout_s`` of
+    silence (``None`` disables expiry; gaps are still recorded)."""
+
+    __slots__ = ("timeout_s", "last_beat", "hist")
+
+    def __init__(self, timeout_s: float | None = None, *, hist=None,
+                 now: float | None = None) -> None:
+        self.timeout_s = timeout_s
+        self.last_beat = time.monotonic() if now is None else now
+        self.hist = hist
+
+    def beat(self, now: float | None = None) -> None:
+        now = time.monotonic() if now is None else now
+        if self.hist is not None:
+            self.hist.record(now - self.last_beat)
+        self.last_beat = now
+
+    def expired(self, now: float | None = None) -> bool:
+        if self.timeout_s is None:
+            return False
+        now = time.monotonic() if now is None else now
+        return now - self.last_beat > self.timeout_s
 
 
 @dataclass(frozen=True)
 class NetConfig:
     """Control-plane knobs: pool size, backpressure, deadlines, retry
-    shape.  ``max_retries``/``backoff_base_s``/``backoff_cap_s`` are the
-    same knobs the forked supervisor exposes — the CLI threads one set
-    of flags into both planes."""
+    shape (the CLI's ``--max-retries``/``--retry-base``/``--retry-cap``
+    land in ``max_retries``/``backoff_base_s``/``backoff_cap_s``)."""
 
     workers: int = 2
     #: max unacked batches in flight per shard (the bounded queue)
@@ -95,16 +146,8 @@ class NetConfig:
             raise ValueError("deadlines must be positive")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-
-    def supervision(self) -> Supervision:
-        """The equivalent supervise knobs (used for backoff computation)."""
-        return Supervision(
-            timeout_s=None,
-            max_retries=self.max_retries,
-            backoff_base_s=self.backoff_base_s,
-            backoff_cap_s=self.backoff_cap_s,
-            poll_interval_s=self.poll_interval_s,
-        )
+        if self.backoff_base_s < 0 or self.backoff_cap_s < 0:
+            raise ValueError("backoff parameters must be >= 0")
 
 
 @dataclass
@@ -130,6 +173,10 @@ class NetStats:
     sync_cached: int = 0
     snapshot_frames: int = 0
     snapshot_bytes: int = 0
+    #: ``(shard, attempt, outcome)`` per settled shard attempt, in the
+    #: order they settled: ``crash``/``timeout`` when the attempt's link
+    #: went down, ``ok`` when its report arrived
+    attempts: list[tuple[str, int, str]] = field(default_factory=list)
 
     def as_dict(self) -> dict:
         return {
@@ -148,6 +195,7 @@ class NetStats:
             "sync_cached": self.sync_cached,
             "snapshot_frames": self.snapshot_frames,
             "snapshot_bytes": self.snapshot_bytes,
+            "attempts": [list(a) for a in self.attempts],
         }
 
 
@@ -237,7 +285,6 @@ class Router:
         self.routes: dict[str, RouteState] = {}
         self.links: dict[str, WorkerLink] = {}
         self.ring: HashRing | None = None
-        self._sup = self.cfg.supervision()
         self._mp = multiprocessing.get_context("fork") if fork_available() else None
         enabled = obs.is_enabled()
         self._qdepth = obs.histogram("net.queue_depth") if enabled else None
@@ -465,9 +512,20 @@ class Router:
             if route.phase == "finishing":
                 report, snap = obs.split_carrier(msg["report"])
                 obs.merge_snapshot(snap)
-                route.report = report
-                route.phase = "done"
-                route.deadline = None
+                self._settle(route, report)
+
+    def _settle(self, route: RouteState, report) -> None:
+        """Record the attempt that delivered ``report`` and close the
+        route; the report's ``retries`` counts the shard's failed
+        attempts."""
+        self.stats.attempts.append((route.cluster, route.attempt, "ok"))
+        report.retries = sum(
+            1 for shard, _, outcome in self.stats.attempts
+            if shard == route.cluster and outcome != "ok"
+        )
+        route.report = report
+        route.phase = "done"
+        route.deadline = None
 
     # -- model replication ----------------------------------------------
 
@@ -595,7 +653,8 @@ class Router:
                 self._reroute(route, now, avoid=route.worker)
             return
         # Rung 2: rewind to the acked cursor and resend after backoff.
-        delay = backoff_delay(f"net:{route.cluster}", route.retries, self._sup)
+        delay = backoff_delay(f"net:{route.cluster}", route.retries,
+                              self.cfg.backoff_base_s, self.cfg.backoff_cap_s)
         route.backoff_until = now + delay
         route.next_send = route.acked
         route.sent_at.clear()
@@ -626,10 +685,12 @@ class Router:
             )
             self.stats.respawns += 1
             obs.counter_add("net.respawns")
+        outcome = "crash" if reason == "hangup" else "timeout"
         for route in self.routes.values():
             if route.worker == link.name and route.phase in (
                 "resuming", "streaming", "finishing"
             ):
+                self.stats.attempts.append((route.cluster, route.attempt, outcome))
                 self._reroute(route, now, avoid=link.name)
 
     def _reroute(self, route: RouteState, now: float, avoid: str | None) -> None:
@@ -678,13 +739,7 @@ class Router:
             # Listen-mode passthrough: no authoritative batch list held
             # here; replay the locally-built stream (pre-replication
             # behavior, whole-cluster shards only).
-            route.report = server.run(
-                stream,
-                speedup=task.speedup,
-                resume=route.ckpt,
-            )
-            route.phase = "done"
-            route.deadline = None
+            self._settle(route, server.run(stream, resume=route.ckpt))
             return
         central = self.hub is not None and task.config.replicate == "central"
         if central:
@@ -703,9 +758,7 @@ class Router:
             session.process(bi, batch)
             if central:
                 self._drain_local_sync(task, server)
-        route.report = session.finish()
-        route.phase = "done"
-        route.deadline = None
+        self._settle(route, session.finish())
 
     def _drain_local_sync(self, task: ShardTask, server) -> None:
         """Synchronous sync loop for an in-process shard: every

@@ -27,8 +27,8 @@ with a tiny RPC vocabulary over one framed socket:
   never run against a model the merged-stream run would not have
   used); the parked frames drain the moment the snapshot installs.
 * ``finish``   — close the session; replies ``report`` with the shard
-  report (obs state piggybacked the same way the forked supervisor
-  carries it).
+  report (this process's obs state piggybacked on it, see
+  :func:`repro.obs.collect.carry_result`).
 * ``forget``   — drop a session (the shard was rerouted elsewhere).
 * ``ping``/``shutdown`` — liveness probe / clean exit.
 
@@ -41,21 +41,25 @@ snapshot lost to a crash or partition is always re-requested (the hub
 answers duplicates from its version cache).
 
 Process faults from the installed
-:class:`~repro.framework.faults.FaultPlan` fire exactly as under the
-supervisor: a :class:`~repro.framework.supervise.WorkerContext` built
-with ``real=True`` (the liveness channel is the socket, not a pipe)
-SIGKILLs or stalls this process at the planned batch index, keyed by
-``(shard id, attempt)`` where ``attempt`` counts the router's resume
-attempts for that shard.
+:class:`~repro.framework.faults.FaultPlan` fire inside :class:`ShardHost`,
+keyed by ``(shard id, attempt)`` where ``attempt`` counts the router's
+resume attempts for that shard: a fault with no ``at`` fires when the
+host is built, the others just before the batch with that index is
+served.  ``crash`` SIGKILLs this process, ``hang`` stalls it until the
+router's deadline kills it, ``slow_start`` sleeps ``delay_s``, and
+``exception`` raises :class:`~repro.framework.faults.TransientWorkerFault`
+(the process dies with a traceback, which the router sees as a hangup).
 """
 
 from __future__ import annotations
 
+import os
 import selectors
+import signal
+import time
 from collections import deque
 
-from ...framework.faults import FaultPlan, installed_fault_plan
-from ...framework.supervise import WorkerContext
+from ...framework.faults import FaultPlan, TransientWorkerFault, installed_fault_plan
 from ...obs import collect as obs
 from ..runtime import ShardTask, build_shard
 from ..server import ServingSession
@@ -64,9 +68,9 @@ __all__ = ["ShardHost", "worker_main"]
 
 
 class ShardHost:
-    """One hosted shard: session, fault context, and replication state."""
+    """One hosted shard: session, planned faults, and replication state."""
 
-    __slots__ = ("task", "session", "ctx", "attempt", "pending_ckpt",
+    __slots__ = ("task", "session", "faults", "attempt", "pending_ckpt",
                  "deferred", "stash", "sent_syncs")
 
     def __init__(self, task: ShardTask, attempt: int, ckpt,
@@ -84,11 +88,10 @@ class ShardHost:
         #: sync requests already forwarded by *this* host instance — a
         #: rebuilt host (respawn/reroute) starts empty and re-sends
         self.sent_syncs: set[tuple[str, int]] = set()
-        faults = plan.process_faults_for(task.shard_id, attempt) if plan else ()
-        self.ctx = WorkerContext(
-            task.shard_id, attempt, faults=faults, real=True
-        )
-        self.ctx.fire_startup_faults()
+        self.faults = plan.process_faults_for(task.shard_id, attempt) if plan else ()
+        for fault in self.faults:
+            if fault.at is None:
+                self._fire(fault)
         self.session = ServingSession(
             server,
             stream,
@@ -97,6 +100,27 @@ class ShardHost:
             resume=ckpt,
             partial=task.replica_count > 1,
         )
+
+    def fault_at(self, bi: int) -> None:
+        """Fire every fault planned for batch ``bi`` (a plan may stack
+        several on one attempt, e.g. a slow_start at 5 and a crash at
+        100)."""
+        for fault in self.faults:
+            if fault.at == bi:
+                self._fire(fault)
+
+    def _fire(self, fault) -> None:
+        if fault.kind == "slow_start":
+            time.sleep(fault.delay_s)
+        elif fault.kind == "exception":
+            raise TransientWorkerFault(
+                f"injected transient fault for {self.task.shard_id!r} "
+                f"attempt {self.attempt}"
+            )
+        elif fault.kind == "crash":
+            os.kill(os.getpid(), signal.SIGKILL)
+        elif fault.kind == "hang":
+            time.sleep(fault.delay_s or 3600.0)
 
     def _sink(self, ckpt) -> None:
         self.pending_ckpt = ckpt
@@ -292,9 +316,9 @@ def _process_items(conn, host, cluster, bi0, items, acks: dict) -> None:
         if bi < host.session.cursor:
             served = bi
             continue  # duplicate: folds into the ack, no side effects
-        # Fault hook mirrors run_shard's on_batch: progress == batch
-        # index, fired only for batches actually about to be served.
-        host.ctx.maybe_fault(bi)
+        # Planned faults key on the batch index and fire only for
+        # batches actually about to be served.
+        host.fault_at(bi)
         host.session.process(bi, batch)
         served = bi
         if host.blocked() and i + 1 < len(items):

@@ -174,8 +174,8 @@ class ShardReport:
     #: a merged-stream run's decisions by micro-batch
     decision_index: list[tuple[int, int]] | None = None
     ces_active: np.ndarray | None = None
-    #: supervision retries spent serving this shard (set by the runtime,
-    #: not the server — a never-supervised shard reports 0)
+    #: failed attempts before this shard's report arrived (set by the
+    #: serve-net router, not the server — an in-process run reports 0)
     retries: int = 0
     #: degradation-ladder telemetry: rung reached + degraded decisions
     degraded: dict[str, int] = field(default_factory=dict)
@@ -225,9 +225,9 @@ class ShardReport:
 
     def parity_dict(self) -> dict:
         """The deterministic subset of the report: everything except
-        wall-clock metrics (latencies, throughput) and supervision
-        retries.  Two runs of the same stream — including a crashed-and-
-        resumed one — must agree on this dict exactly."""
+        wall-clock metrics (latencies, throughput) and retries.  Two
+        runs of the same stream — including a crashed-and-resumed one —
+        must agree on this dict exactly."""
         return {
             "cluster": self.cluster,
             "events": self.events,
@@ -580,7 +580,6 @@ class PredictionServer:
         checkpoint_every: int | None = None,
         checkpoint_sink: Callable[[ShardCheckpoint], None] | None = None,
         resume: ShardCheckpoint | None = None,
-        on_batch: Callable[[int], None] | None = None,
     ) -> ShardReport:
         """Serve one stream to exhaustion; returns the shard report.
 
@@ -589,8 +588,7 @@ class PredictionServer:
         micro-batch window.  ``checkpoint_every=K`` (with a
         ``checkpoint_sink``) emits a :class:`ShardCheckpoint` every K
         micro-batches; ``resume`` restores one, skipping every batch
-        before its cursor.  ``on_batch(bi)`` is invoked before each
-        *processed* batch — the supervisor's heartbeat/fault hook.
+        before its cursor.
 
         ``run`` is a thin wrapper over :class:`ServingSession`: it owns
         the stream iteration and nothing else, so a caller that receives
@@ -608,8 +606,6 @@ class PredictionServer:
         for bi, batch in enumerate(stream.play(window, speedup)):
             if bi < session.cursor:
                 continue  # replayed prefix already served pre-crash
-            if on_batch is not None:
-                on_batch(bi)
             session.process(bi, batch)
         return session.finish()
 
@@ -623,8 +619,7 @@ class PredictionServer:
         completed run.  A SIGKILLed attempt publishes nothing (its
         recorder dies with it) and the resumed attempt publishes the
         full totals, so spans/metrics survive checkpoint-resume without
-        double-counting replayed batches, and the forked and in-process
-        supervisors report identical totals by construction.
+        double-counting replayed batches.
         """
         c = report.cluster
         counts = state["counts"]
@@ -742,6 +737,15 @@ class PredictionServer:
                     self._degrade_ces()
 
 
+#: obs histogram name per event kind: per-batch serving time
+_PHASE_HISTS = {
+    SUBMIT: "serve.phase.submit_s",
+    FINISH: "serve.phase.finish_s",
+    NODE_SAMPLE: "serve.phase.node_sample_s",
+    NODE_FAIL: "serve.phase.node_fail_s",
+}
+
+
 class ServingSession:
     """Push-driven serving loop state: feed micro-batches one at a time.
 
@@ -799,15 +803,14 @@ class ServingSession:
         # is the two ``phase_hists is not None`` branches below.  Phase
         # timings buffer into small per-kind lists and flush through the
         # vectorized ``record_many`` — a scalar ``Histogram.record`` per
-        # batch would alone eat most of the 2% overhead budget.
+        # batch would alone eat most of the 2% overhead budget.  The
+        # histograms are the session's own, published once in
+        # :meth:`finish`: a worker hosting several sessions drains its
+        # recorder when the first one finishes, and samples recorded
+        # straight into the recorder's instances would be orphaned.
         self._phase_hists = None
         if obs.is_enabled():
-            self._phase_hists = {
-                SUBMIT: obs.histogram("serve.phase.submit_s"),
-                FINISH: obs.histogram("serve.phase.finish_s"),
-                NODE_SAMPLE: obs.histogram("serve.phase.node_sample_s"),
-                NODE_FAIL: obs.histogram("serve.phase.node_fail_s"),
-            }
+            self._phase_hists = {kind: Histogram() for kind in _PHASE_HISTS}
             self._phase_buf: dict[int, list[float]] = {
                 k: [] for k in self._phase_hists
             }
@@ -997,6 +1000,8 @@ class ServingSession:
             fits=fits,
         )
         if self._phase_hists is not None:
+            for kind, hist in self._phase_hists.items():
+                obs.merge_histogram(_PHASE_HISTS[kind], hist)
             server._publish_obs(state, report, self._qssf_lat, self._ces_lat)
             obs.record_span(
                 "serve.run", self._span_t0, obs.wall_now(),

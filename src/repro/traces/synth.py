@@ -2,7 +2,8 @@
 
 The real Helios traces (3.36 M Slurm job logs) are not available offline,
 so this module synthesizes workloads that reproduce every distribution
-the paper reports (see DESIGN.md §2 for the substitution argument):
+the paper reports — the exhibits therefore match the paper's shapes and
+directions, not its exact values:
 
 * per-cluster shapes from Table 1 (via :mod:`repro.traces.cluster`);
 * duration mixtures with second-scale debug jobs through multi-day

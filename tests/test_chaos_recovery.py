@@ -2,7 +2,10 @@
 
 The headline guarantee: a shard SIGKILLed mid-stream and resumed from
 its last checkpoint produces a report whose parity surface is
-byte-identical to a never-failed run.  Plus the degradation ladder:
+byte-identical to a never-failed run.  The router of
+:mod:`repro.serve.net` is the plane that detects the failure (hangup,
+RPC deadline) and resumes the shard; each attempt it settles is logged
+in ``NetStats.attempts``.  Plus the degradation ladder:
 model failures step exactly one rung per failure and decisions keep
 flowing at every rung.
 """
@@ -15,19 +18,18 @@ from repro.framework import (
     FaultSpec,
     PassthroughQueueService,
     QSSFService,
-    Supervision,
-    SupervisionLog,
     fork_available,
 )
-from repro.serve import ShardTask, build_shard, serve_clusters
+from repro.serve import NetConfig, ShardTask, build_shard, serve_clusters_net
 
 needs_fork = pytest.mark.skipif(not fork_available(), reason="requires os.fork")
 
 _TASK = dict(history_days=14, stream_days=1.0, max_jobs=400)
 
-FAST_SUP = Supervision(
-    timeout_s=120.0, max_retries=2, backoff_base_s=0.001, backoff_cap_s=0.01,
-    poll_interval_s=0.005,
+#: one worker, so every retry is a respawn of the same shard host;
+#: tight backoff keeps the chaos runs short
+FAST_NET = NetConfig(
+    workers=1, max_retries=2, backoff_base_s=0.001, backoff_cap_s=0.01,
 )
 
 
@@ -78,6 +80,14 @@ class TestCheckpointResume:
             server2.run(stream2, resume=ckpts[0])
 
 
+def _serve_routed(plan, net=FAST_NET):
+    (report,), stats = serve_clusters_net(
+        ("Venus",), config=_config(), **_TASK,
+        checkpoint_every=50, fault_plan=plan, net=net,
+    )
+    return report, stats
+
+
 @needs_fork
 class TestSigkillRecovery:
     def test_sigkill_mid_stream_parity(self, baseline):
@@ -85,14 +95,9 @@ class TestSigkillRecovery:
         plan = FaultPlan(
             seed=7, faults=(FaultSpec(key="Venus", kind="crash", at=130),)
         )
-        log = SupervisionLog()
-        (recovered,) = serve_clusters(
-            ("Venus",), config=_config(), jobs=1, **_TASK,
-            supervised=True, supervision=FAST_SUP, fault_plan=plan,
-            checkpoint_every=50, log=log,
-        )
+        recovered, stats = _serve_routed(plan)
         assert recovered.parity_bytes() == baseline.parity_bytes()
-        assert log.events == [("Venus", 0, "crash"), ("Venus", 1, "ok")]
+        assert stats.attempts == [("Venus", 0, "crash"), ("Venus", 1, "ok")]
         assert recovered.retries == 1
         assert recovered.as_dict()["retries"] == 1
 
@@ -102,14 +107,40 @@ class TestSigkillRecovery:
         )
         runs = []
         for _ in range(2):
-            log = SupervisionLog()
-            (report,) = serve_clusters(
-                ("Venus",), config=_config(), jobs=1, **_TASK,
-                supervised=True, supervision=FAST_SUP, fault_plan=plan,
-                checkpoint_every=50, log=log,
-            )
-            runs.append((log.events, report.parity_bytes()))
+            report, stats = _serve_routed(plan)
+            runs.append((stats.attempts, report.parity_bytes()))
         assert runs[0] == runs[1]
+
+    def test_transient_exception_retried_to_success(self, baseline):
+        """An injected exception kills the worker with a traceback; the
+        router sees the hangup and the retried attempt reaches parity."""
+        plan = FaultPlan(faults=(FaultSpec(key="Venus", kind="exception", at=130),))
+        recovered, stats = _serve_routed(plan)
+        assert stats.attempts == [("Venus", 0, "crash"), ("Venus", 1, "ok")]
+        assert recovered.parity_bytes() == baseline.parity_bytes()
+
+    def test_stacked_faults_fire_on_one_attempt(self, baseline):
+        """A slow_start at batch 5 and a crash at batch 100 both fire on
+        attempt 0: the slow batch is survived, the crash is recovered."""
+        plan = FaultPlan(seed=3, faults=(
+            FaultSpec(key="Venus", kind="slow_start", at=5, delay_s=0.05),
+            FaultSpec(key="Venus", kind="crash", at=100),
+        ))
+        recovered, stats = _serve_routed(plan)
+        assert stats.attempts == [("Venus", 0, "crash"), ("Venus", 1, "ok")]
+        assert recovered.parity_bytes() == baseline.parity_bytes()
+
+    def test_hang_killed_through_rpc_deadline(self, baseline):
+        """A hung worker stops acking; the router's RPC deadline and
+        retry budget take its link down, record a ``timeout``, and the
+        respawned attempt resumes to parity."""
+        plan = FaultPlan(faults=(FaultSpec(key="Venus", kind="hang", at=130),))
+        net = NetConfig(workers=1, rpc_deadline_s=1.0, max_retries=1,
+                        backoff_base_s=0.001, backoff_cap_s=0.01)
+        recovered, stats = _serve_routed(plan, net)
+        assert stats.attempts == [("Venus", 0, "timeout"), ("Venus", 1, "ok")]
+        assert recovered.retries == 1
+        assert recovered.parity_bytes() == baseline.parity_bytes()
 
 
 class TestDegradationLadder:

@@ -13,6 +13,9 @@ from repro.framework import (
     QSSFService,
     ResourceOrchestrator,
     UpdatePolicy,
+    WorkerError,
+    fork_available,
+    run_forked,
 )
 from repro.traces import HeliosTraceGenerator, SynthParams, is_gpu_job
 
@@ -405,3 +408,22 @@ class TestCESNodeService:
     def test_update_every_validation(self):
         with pytest.raises(ValueError):
             CESNodeService(update_every=0)
+
+
+def _boom(x):
+    if x == 3:
+        raise ValueError(f"boom on {x}")
+    return x
+
+
+@pytest.mark.skipif(not fork_available(), reason="requires os.fork")
+class TestRunForked:
+    def test_remote_traceback_and_item_preserved(self):
+        """A worker exception names the failing item and carries the
+        worker-side traceback instead of a context-free pool error."""
+        with pytest.raises(WorkerError) as excinfo:
+            run_forked(_boom, [1, 2, 3, 4], jobs=2)
+        err = excinfo.value
+        assert err.item == "3"
+        assert "boom on 3" in str(err)
+        assert "boom on 3" in err.remote_traceback

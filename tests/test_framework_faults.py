@@ -5,7 +5,7 @@ import pickle
 import pytest
 
 from repro.framework import (
-    CorruptPayload,
+    FAULT_KINDS,
     FaultPlan,
     FaultSpec,
     clear_fault_plan,
@@ -30,6 +30,12 @@ class TestFaultSpec:
             FaultSpec(key="a", at=-2)
         with pytest.raises(ValueError, match="delay_s"):
             FaultSpec(key="a", delay_s=-0.5)
+
+    def test_corrupt_kind_rejected(self):
+        # Nothing consumes a corrupted result, so the kind is not offered.
+        assert "corrupt" not in FAULT_KINDS
+        with pytest.raises(ValueError, match="unknown fault kind 'corrupt'"):
+            FaultSpec(key="a", kind="corrupt")
 
     def test_as_dict_round_trips_json(self):
         spec = FaultSpec(key="Earth", kind="crash", attempt=1, at=42)
@@ -111,7 +117,7 @@ class TestNetFaultSpecs:
             FaultSpec(key="x", kind="partition", attempt=0, at=7, span=4),
             FaultSpec(key="x", kind="drop", attempt=1, at=0),
         ))
-        # The supervisor plane never sees net kinds...
+        # The shard-worker plane never sees net kinds...
         assert plan.fault_for("x", 0).kind == "crash"
         assert [f.kind for f in plan.process_faults_for("x", 0)] == ["crash"]
         assert plan.fault_for("x", 1) is None
@@ -134,9 +140,3 @@ class TestNetFaultSpecs:
         assert again == plan
         part, delay = again.net_faults_for("link:w1", 2)
         assert (part.span, delay.delay_s) == (100_000, 0.25)
-
-
-class TestCorruptPayload:
-    def test_wraps_payload(self):
-        wrapped = CorruptPayload({"x": 1})
-        assert wrapped.payload == {"x": 1}

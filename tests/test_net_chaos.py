@@ -40,7 +40,7 @@ needs_fork = pytest.mark.skipif(not fork_available(), reason="requires os.fork")
 _TASK = dict(history_days=14, stream_days=1.0, max_jobs=300)
 
 #: tight deadlines/backoff so breaker rungs trip in test time, not
-#: production time (mirrors FAST_SUP in test_chaos_recovery)
+#: production time
 FAST_NET = dict(
     rpc_deadline_s=1.5, resume_deadline_s=120.0, max_retries=2,
     backoff_base_s=0.01, backoff_cap_s=0.05, poll_interval_s=0.005,
@@ -251,12 +251,6 @@ class TestNetConfig:
             NetConfig(queue_bound=0)
         with pytest.raises(ValueError, match="deadlines"):
             NetConfig(rpc_deadline_s=0.0)
-
-    def test_supervision_mirrors_retry_knobs(self):
-        sup = NetConfig(max_retries=5, backoff_base_s=0.3,
-                        backoff_cap_s=9.0).supervision()
-        assert (sup.max_retries, sup.backoff_base_s, sup.backoff_cap_s) == (
-            5, 0.3, 9.0)
 
 
 @needs_fork

@@ -1,13 +1,13 @@
 """Chaos coverage for the obs layer: spans/metrics must survive
 SIGKILLed workers and checkpoint-resume without double-counting, and
-the fork-unavailable in-process supervisor must report the same metric
-totals as real forked supervision.
+metric totals must not depend on how shards are placed on workers.
 
-The comparison surface is the published ``serve.*`` counters, which the
-server derives from its checkpointed loop state exactly once at the end
-of a completed run — the crash-recovery analogue of the payload parity
-guarantee.  Live wall-clock histograms (phase timings, heartbeat gaps)
-are per-attempt by construction and excluded.
+The crash comparison surface is the published ``serve.*`` counters,
+which the server derives from its checkpointed loop state exactly once
+at the end of a completed run — the crash-recovery analogue of the
+payload parity guarantee.  Live wall-clock histograms (phase timings,
+heartbeat gaps) are per-attempt by construction and excluded there; in
+a fault-free run their sample counts must match across topologies.
 """
 
 from __future__ import annotations
@@ -15,31 +15,12 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
-from repro.framework import (
-    FaultPlan,
-    FaultSpec,
-    Supervision,
-    SupervisionLog,
-    fork_available,
-)
-from repro.serve import ShardTask
-from repro.serve.runtime import run_shard
-from repro.framework.supervise import run_supervised
+from repro.framework import FaultPlan, FaultSpec, fork_available
+from repro.serve import NetConfig, serve_clusters_net
 
 needs_fork = pytest.mark.skipif(not fork_available(), reason="requires os.fork")
 
-FAST_SUP = Supervision(
-    timeout_s=120.0,
-    max_retries=2,
-    backoff_base_s=0.001,
-    backoff_cap_s=0.01,
-    poll_interval_s=0.005,
-)
-
-_TASK = ShardTask(
-    cluster="Venus", history_days=14, stream_days=1.0, max_jobs=400,
-    checkpoint_every=50,
-)
+_TASK = dict(history_days=14, stream_days=1.0, max_jobs=400)
 
 _CRASH_PLAN = FaultPlan(
     seed=7, faults=(FaultSpec(key="Venus", kind="crash", at=130),)
@@ -59,102 +40,79 @@ def _serve_counters(snap) -> dict:
     return {k: v for k, v in snap.counters.items() if k.startswith("serve.")}
 
 
-def _supervised_run(fault_plan):
-    log = SupervisionLog()
-    reports = run_supervised(
-        run_shard, [_TASK], jobs=1, labels=["Venus"],
-        supervision=FAST_SUP, fault_plan=fault_plan,
-        with_context=True, log=log,
+def _routed_run(fault_plan, clusters=("Venus",), workers=1, config=None):
+    reports, stats = serve_clusters_net(
+        clusters, config, **_TASK, checkpoint_every=50, fault_plan=fault_plan,
+        net=NetConfig(workers=workers, max_retries=2,
+                      backoff_base_s=0.001, backoff_cap_s=0.01),
     )
-    return reports[0], log
+    return reports, stats
 
 
 @needs_fork
 class TestCrashRecoveryObsParity:
     def test_sigkill_resume_totals_match_clean_run(self):
-        """A SIGKILLed attempt's obs state dies with the fork; the
+        """A SIGKILLed attempt's obs state dies with its worker; the
         resumed attempt republishes full totals from its checkpointed
         state — so a chaos run's serve.* counters equal a clean run's
         (replayed batches are not double-counted)."""
         obs.enable()
-        report_chaos, log = _supervised_run(_CRASH_PLAN)
+        (report_chaos,), stats = _routed_run(_CRASH_PLAN)
         chaos = _serve_counters(obs.snapshot())
-        assert [e[2] for e in log.events] == ["crash", "ok"]
+        assert [outcome for _, _, outcome in stats.attempts] == ["crash", "ok"]
         assert chaos  # the resumed attempt did publish
 
         obs.reset()
         obs.enable()
-        report_clean, _ = _supervised_run(None)
+        (report_clean,), _ = _routed_run(None)
         clean = _serve_counters(obs.snapshot())
 
         assert chaos == clean
         assert report_chaos.parity_bytes() == report_clean.parity_bytes()
 
     def test_supervisor_plane_saw_the_crash(self):
+        """The router's counters record the crash and the respawn."""
         obs.enable()
-        _, _ = _supervised_run(_CRASH_PLAN)
+        _routed_run(_CRASH_PLAN)
         snap = obs.snapshot()
-        assert snap.counters["supervise.attempts"] == 2
-        assert snap.counters["supervise.outcome.crash"] == 1
-        assert snap.counters["supervise.outcome.ok"] == 1
-        attempts = [s for s in snap.spans if s.name == "supervise.attempt"]
-        assert sorted(s.attrs["outcome"] for s in attempts) == ["crash", "ok"]
-        # The dead attempt's serve.run span died with its fork; only the
-        # resumed attempt's shard spans survive.
+        assert snap.counters["net.link_down.hangup"] == 1
+        assert snap.counters["net.respawns"] == 1
+        assert snap.counters["net.reroutes"] == 1
+        # The dead attempt's serve.run span died with its worker; only
+        # the resumed attempt's shard spans survive.
         assert sum(1 for s in snap.spans if s.name == "serve.run") == 1
 
     def test_disabled_obs_changes_nothing(self):
         """Chaos runs with obs off produce the identical report (the
         whole layer is out-of-band)."""
-        report_off, _ = _supervised_run(_CRASH_PLAN)
+        (report_off,), _ = _routed_run(_CRASH_PLAN)
         assert obs.snapshot().empty
         obs.enable()
-        report_on, _ = _supervised_run(_CRASH_PLAN)
+        (report_on,), _ = _routed_run(_CRASH_PLAN)
         assert report_off.parity_bytes() == report_on.parity_bytes()
 
 
 @needs_fork
-class TestInProcessFallbackParity:
-    def test_inprocess_fallback_same_metric_totals(self, monkeypatch):
-        """The daemonic-pool fallback (simulated crash + explicit
-        attempt isolation) must publish the same serve.* totals as real
-        forked supervision under the same fault plan."""
-        obs.enable()
-        report_forked, forked_log = _supervised_run(_CRASH_PLAN)
-        forked = _serve_counters(obs.snapshot())
+class TestTopologyIndependence:
+    def test_totals_same_on_one_and_two_workers(self):
+        """Venus+Earth on one worker (both sessions in one process,
+        whose recorder drains when the first finishes) and on two must
+        publish the same serve.* counters and histogram sample counts."""
+        from repro.experiments.serving import smoke_serve_config
 
-        import repro.framework.supervise as sup_mod
-
-        monkeypatch.setattr(sup_mod, "fork_available", lambda: False)
-        obs.reset()
-        obs.enable()
-        report_inproc, inproc_log = _supervised_run(_CRASH_PLAN)
-        inproc = _serve_counters(obs.snapshot())
-
-        assert forked_log.events == inproc_log.events
-        assert forked == inproc
-        assert report_forked.parity_bytes() == report_inproc.parity_bytes()
-
-    def test_inprocess_failed_attempt_metrics_discarded(self, monkeypatch):
-        """A simulated crash's partial metrics must not leak into the
-        run-wide view — only supervisor-plane counters record it."""
-        import repro.framework.supervise as sup_mod
-
-        monkeypatch.setattr(sup_mod, "fork_available", lambda: False)
-        obs.enable()
-        _, log = _supervised_run(_CRASH_PLAN)
-        snap = obs.snapshot()
-        assert [e[2] for e in log.events] == ["crash", "ok"]
-        # serve.run spans: only the successful (resumed) attempt's.
-        assert sum(1 for s in snap.spans if s.name == "serve.run") == 1
-        assert snap.counters["supervise.outcome.crash"] == 1
-
-        obs.reset()
-        obs.enable()
-        _, _ = _supervised_run(None)
-        clean = _serve_counters(obs.snapshot())
-        obs.reset()
-        obs.enable()
-        _, _ = _supervised_run(_CRASH_PLAN)
-        chaos = _serve_counters(obs.snapshot())
-        assert chaos == clean
+        totals = []
+        for workers in (1, 2):
+            obs.reset()
+            obs.enable()
+            _routed_run(None, clusters=("Venus", "Earth"), workers=workers,
+                        config=smoke_serve_config())
+            snap = obs.snapshot()
+            hists = {
+                name: hist.count for name, hist in snap.histograms.items()
+                if name.startswith("serve.")
+            }
+            totals.append((_serve_counters(snap), hists))
+        (counters1, hists1), (counters2, hists2) = totals
+        assert counters1 == counters2
+        assert hists1["serve.phase.node_sample_s"] > 0
+        assert hists1 == hists2

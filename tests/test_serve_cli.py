@@ -2,10 +2,11 @@
 
 ``--fault-plan`` must never dump a traceback: every malformed input —
 missing file, unreadable path, broken JSON, invalid plan — exits
-nonzero with a one-line diagnostic.  The retry knobs (`--max-retries`,
-``--retry-base``, ``--retry-cap``) thread into the supervisor's
-:class:`~repro.framework.Supervision` and the net router's
-:class:`~repro.serve.NetConfig` from one set of flags.
+nonzero with a one-line diagnostic.  The retry knobs (``--max-retries``,
+``--retry-base``, ``--retry-cap``) land in the net router's
+:class:`~repro.serve.NetConfig`, the one fault-tolerant plane — which
+is why ``--fault-plan`` implies ``--net`` and ``--speedup`` (which only
+the in-process loop honors) is rejected next to it.
 """
 
 import json
@@ -102,6 +103,16 @@ class TestMainExitCodes:
                      "--replicas", "2"]) == 2
         assert "drive-mode" in _one_line_error(capsys)
 
+    @pytest.mark.parametrize("mode", [
+        ["--net"],
+        ["--listen", "7341"],
+        ["--fault-plan", '{"faults": [{"key": "Venus", "kind": "crash"}]}'],
+    ])
+    def test_speedup_rejected_in_net_mode(self, mode, capsys):
+        """The router never paces batches: --speedup would be ignored."""
+        assert main(["--clusters", "Venus", "--speedup", "3600", *mode]) == 2
+        assert "--speedup" in _one_line_error(capsys)
+
 
 class _FakeReport:
     cluster = "Venus"
@@ -112,40 +123,46 @@ class _FakeReport:
     refits: dict = {}
 
 
+def _capture_net_serve(monkeypatch) -> dict:
+    """Replace the net drive with a recorder of its arguments."""
+    import repro.serve.net as net_mod
+    from repro.serve import NetStats
+
+    captured = {}
+
+    def fake_serve(clusters, config, **kw):
+        captured["clusters"] = list(clusters)
+        captured["config"] = config
+        captured.update(kw)
+        return [_FakeReport()], NetStats()
+
+    monkeypatch.setattr(net_mod, "serve_clusters_net", fake_serve)
+    return captured
+
+
 class TestKnobPlumbing:
-    def test_retry_knobs_flow_into_supervision(self, monkeypatch, capsys):
-        import repro.serve.__main__ as cli
-
-        captured = {}
-
-        def fake_serve(clusters, **kw):
-            captured.update(kw)
-            return [_FakeReport()]
-
-        monkeypatch.setattr(cli, "serve_clusters", fake_serve)
-        rc = main(["--clusters", "Venus", "--supervised", "-q",
+    def test_retry_knobs_flow_into_net_config(self, monkeypatch, capsys):
+        captured = _capture_net_serve(monkeypatch)
+        rc = main(["--clusters", "Venus", "--net", "-q", "--workers", "3",
                    "--max-retries", "7", "--retry-base", "0.2",
                    "--retry-cap", "3.5"])
         assert rc == 0
-        sup = captured["supervision"]
-        assert (sup.max_retries, sup.backoff_base_s, sup.backoff_cap_s) == (
-            7, 0.2, 3.5)
+        net = captured["net"]
+        assert (net.workers, net.max_retries, net.backoff_base_s,
+                net.backoff_cap_s) == (3, 7, 0.2, 3.5)
         capsys.readouterr()
 
-    def test_fault_plan_implies_supervised(self, monkeypatch, capsys):
+    def test_fault_plan_implies_net(self, monkeypatch, capsys):
         import repro.serve.__main__ as cli
 
+        def in_process(*a, **kw):
+            raise AssertionError("a fault plan must not serve in-process")
+
+        monkeypatch.setattr(cli, "serve_clusters", in_process)
+        captured = _capture_net_serve(monkeypatch)
         plan = FaultPlan(faults=(FaultSpec(key="Venus", kind="crash", at=1),))
-        captured = {}
-
-        def fake_serve(clusters, **kw):
-            captured.update(kw)
-            return [_FakeReport()]
-
-        monkeypatch.setattr(cli, "serve_clusters", fake_serve)
         assert main(["--clusters", "Venus", "-q",
                      "--fault-plan", plan.to_json()]) == 0
-        assert captured["supervised"] is True
         assert captured["fault_plan"] == plan
         capsys.readouterr()
 
@@ -155,18 +172,7 @@ class TestKnobPlumbing:
         assert (args.net, args.workers, args.queue_bound) == (True, 3, 9)
 
     def test_replication_flags_flow_into_net_serve(self, monkeypatch, capsys):
-        import repro.serve.net as net_mod
-        from repro.serve import NetStats
-
-        captured = {}
-
-        def fake_serve(clusters, config, **kw):
-            captured["clusters"] = list(clusters)
-            captured["config"] = config
-            captured.update(kw)
-            return [_FakeReport()], NetStats()
-
-        monkeypatch.setattr(net_mod, "serve_clusters_net", fake_serve)
+        captured = _capture_net_serve(monkeypatch)
         rc = main(["--clusters", "Venus", "--net", "-q",
                    "--replicas", "3", "--replicate", "central"])
         assert rc == 0

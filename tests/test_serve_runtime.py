@@ -145,15 +145,19 @@ class TestServeClusters:
         assert all(r.events > 0 for r in serial)
 
     def test_supervised_fault_free_matches_plain(self, frozen_config):
-        """Supervision must be a pure wrapper: a fault-free supervised
-        run's parity surface equals the bare fan-out's."""
+        """The router is a pure wrapper: a fault-free routed run's
+        parity surface equals the bare fan-out's, with one ``ok``
+        attempt and no retries."""
+        from repro.serve import NetConfig, serve_clusters_net
+
         plain = serve_clusters(("Venus",), config=frozen_config, jobs=1, **_TASK)
-        supervised = serve_clusters(
-            ("Venus",), config=frozen_config, jobs=1, supervised=True, **_TASK
+        (routed,), stats = serve_clusters_net(
+            ("Venus",), config=frozen_config, net=NetConfig(workers=1), **_TASK
         )
-        assert supervised[0].parity_bytes() == plain[0].parity_bytes()
-        assert supervised[0].retries == 0
-        assert "retries" not in supervised[0].as_dict()
+        assert routed.parity_bytes() == plain[0].parity_bytes()
+        assert stats.attempts == [("Venus", 0, "ok")]
+        assert routed.retries == 0
+        assert "retries" not in routed.as_dict()
 
     def test_reports_carry_telemetry(self, frozen_config):
         (report,) = serve_clusters(
