@@ -44,6 +44,17 @@ def test_gbdt_predict_20k(benchmark, regression_data):
     assert out.shape == (20_000,)
 
 
+def test_gbdt_predict_single_row(benchmark, regression_data):
+    """The QSSF/CES call shape: a full-size ensemble scoring one row per
+    call, so per-call overhead dominates."""
+    X, y = regression_data
+    model = GBDTRegressor(GBDTParams(n_estimators=200, max_depth=6)).fit(
+        X[:2_000], y[:2_000]
+    )
+    out = benchmark(model.predict, X[2_000:2_001])
+    assert out.shape == (1,)
+
+
 def test_binner_transform(benchmark, regression_data):
     X, _ = regression_data
     binner = Binner(max_bins=256).fit(X)

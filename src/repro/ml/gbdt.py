@@ -13,6 +13,21 @@ boosting stage, driving the fused single-``bincount`` split search;
 ``mode="reference"`` runs the scratch per-feature histogram loop.  Both
 produce byte-identical ensembles — the reference path is the oracle the
 parity tests and benchmarks compare against.
+
+Prediction has one path, a *packed ensemble walk*.  Every tree's flat
+arrays are concatenated (node ids shifted by per-tree offsets) into one
+:class:`_PackedEnsemble`, with each leaf made a self-loop (``left ==
+right == self``, ``feature == 0``).  A ``(rows, trees)`` node matrix then
+advances ``max_depth`` vectorized steps — rows that reach a leaf early
+just stay there — so a call costs ~``max_depth`` numpy dispatches instead
+of ``max_depth`` per tree.  The gathered leaf values are scaled by the
+learning rate and reduced with ``np.cumsum`` along the tree axis, the
+base score in column 0.  ``cumsum`` adds strictly left to right, which is
+exactly the order of the per-tree ``out += lr * tree.predict_binned(Xb)``
+loop, so the result is bit-identical to it; ``np.sum`` would not be (its
+pairwise summation regroups the additions).  The pack is derived state:
+built lazily, extended when :meth:`GBDTRegressor.fit_more` appends trees,
+and never pickled.
 """
 
 from __future__ import annotations
@@ -50,6 +65,85 @@ def keep_training_state():
         _KEEP_TRAINING_STATE -= 1
 
 _FIT_MODES = ("fast", "reference")
+
+#: node cells (rows × trees) one chunk of the packed walk holds at most;
+#: bounds the walk's working set on large batch predictions
+_WALK_CELLS = 1 << 18
+
+
+class _PackedEnsemble:
+    """Every tree's flat node arrays concatenated for one vectorized walk.
+
+    Leaves are self-loops (``left == right == self``, ``feature == 0``),
+    so a row that reaches its leaf before the last step stays on it.
+    Immutable: :meth:`extended` returns a new pack, so a reader never
+    sees a half-appended one.
+    """
+
+    __slots__ = ("feature", "threshold", "left", "right", "value", "roots")
+
+    def __init__(self, feature, threshold, left, right, value, roots) -> None:
+        self.feature = feature
+        self.threshold = threshold
+        self.left = left
+        self.right = right
+        self.value = value
+        self.roots = roots
+
+    @classmethod
+    def empty(cls) -> "_PackedEnsemble":
+        e = np.empty(0, np.intp)
+        return cls(e, np.empty(0, np.int32), e, e, np.empty(0), e)
+
+    @property
+    def n_trees(self) -> int:
+        return int(self.roots.size)
+
+    def extended(self, trees: list[RegressionTree]) -> "_PackedEnsemble":
+        """A pack holding this one's trees followed by ``trees``."""
+        feature, threshold, left, right, value, roots = (
+            [self.feature], [self.threshold], [self.left], [self.right],
+            [self.value], [self.roots],
+        )
+        offset = self.value.size
+        for tree in trees:
+            t = tree._tree
+            leaf = t.is_leaf
+            ids = np.arange(offset, offset + leaf.size)
+            feature.append(np.where(leaf, 0, t.feature))
+            threshold.append(t.threshold_bin)
+            left.append(np.where(leaf, ids, t.left + offset))
+            right.append(np.where(leaf, ids, t.right + offset))
+            value.append(t.value)
+            roots.append(np.array([offset], np.intp))
+            offset += leaf.size
+        return _PackedEnsemble(*(
+            np.concatenate(parts)
+            for parts in (feature, threshold, left, right, value, roots)
+        ))
+
+    def walk(self, Xb: np.ndarray, n_trees: int, base: float, lr: float,
+             steps: int) -> np.ndarray:
+        """``base + Σ lr · leaf`` over the first ``n_trees`` trees, summed
+        tree by tree in order (bit-identical to the per-tree loop)."""
+        roots = self.roots[:n_trees]
+        k = roots.size
+        n, m = Xb.shape
+        out = np.empty(n)
+        chunk = max(1, _WALK_CELLS // max(1, k))
+        for lo in range(0, n, chunk):
+            xflat = Xb[lo:lo + chunk].ravel()
+            r = min(chunk, n - lo)
+            row_base = (np.arange(r) * m)[:, None]
+            node = np.repeat(roots[None, :], r, axis=0)
+            for _ in range(steps):
+                go_left = xflat[row_base + self.feature[node]] <= self.threshold[node]
+                node = np.where(go_left, self.left[node], self.right[node])
+            terms = np.empty((r, k + 1))
+            terms[:, 0] = base
+            np.multiply(self.value[node], lr, out=terms[:, 1:])
+            out[lo:lo + r] = np.cumsum(terms, axis=1)[:, -1]
+        return out
 
 
 @dataclass(frozen=True)
@@ -111,6 +205,9 @@ class GBDTRegressor:
         # Fast-mode per-feature offset cache over the frozen binned matrix,
         # built once per fit and reused by every boosting stage.
         self._hist_cache: HistogramCache | None = None
+        # Packed ensemble for prediction: derived from trees_, built
+        # lazily, never pickled (see _walk).
+        self._pack: _PackedEnsemble | None = None
 
     # ------------------------------------------------------------------
     def fit(
@@ -144,6 +241,7 @@ class GBDTRegressor:
             max_depth=p.max_depth, min_samples_leaf=p.min_samples_leaf
         )
         self.trees_ = []
+        self._pack = None
         self.train_scores_ = []
         self.valid_scores_ = []
         best_val = np.inf
@@ -222,12 +320,19 @@ class GBDTRegressor:
         buffers are kept, so a restored model continues boosting.
         """
         state = self.__dict__.copy()
+        # Derived from trees_: rebuilt on demand, so pickles (checkpoints,
+        # artifacts) are the same bytes whether or not predict ran.
+        state.pop("_pack", None)
         if not _KEEP_TRAINING_STATE:
             state["_Xb_train"] = None
             state["_y_train"] = None
             state["_pred_train"] = None
             state["_hist_cache"] = None
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._pack = None
 
     # ------------------------------------------------------------------
     def fit_more(
@@ -265,9 +370,7 @@ class GBDTRegressor:
             raise ValueError("X/y shape mismatch")
         if X_new.shape[0]:
             Xb_new = self.binner_.transform(X_new)
-            pred_new = np.full(X_new.shape[0], self.base_score_)
-            for tree in self.trees_:
-                pred_new += p.learning_rate * tree.predict_binned(Xb_new)
+            pred_new = self._walk(Xb_new, len(self.trees_))
             self._Xb_train = np.vstack([self._Xb_train, Xb_new])
             if self._hist_cache is not None:
                 self._hist_cache.append(Xb_new)
@@ -302,11 +405,21 @@ class GBDTRegressor:
                 if self.best_iteration_ is not None
                 else len(self.trees_)
             )
-        out = np.full(X.shape[0], self.base_score_)
-        lr = self.params.learning_rate
-        for tree in self.trees_[:n_trees]:
-            out += lr * tree.predict_binned(Xb)
-        return out
+        return self._walk(Xb, n_trees)
+
+    def _walk(self, Xb: np.ndarray, n_trees: int) -> np.ndarray:
+        """Ensemble prediction over the first ``n_trees`` stages (slice
+        semantics, like ``trees_[:n_trees]``) of a binned matrix."""
+        pack = self._pack
+        if pack is None or pack.n_trees > len(self.trees_):
+            pack = _PackedEnsemble.empty()
+        if pack.n_trees < len(self.trees_):
+            pack = pack.extended(self.trees_[pack.n_trees:])
+        self._pack = pack
+        return pack.walk(
+            Xb, n_trees, self.base_score_, self.params.learning_rate,
+            self.params.max_depth,
+        )
 
     def staged_mse(self) -> list[float]:
         """Training MSE after each boosting stage (monotone check hook)."""

@@ -28,6 +28,12 @@ same cumulative sums and break gain ties identically (lowest feature,
 then lowest bin), so the grown trees are bit-for-bit identical.
 
 The tree is stored as flat arrays so prediction is a vectorized walk.
+:meth:`RegressionTree.predict_binned` walks one tree (the boosting loop
+uses it to advance its running predictions stage by stage); ensemble
+prediction in :mod:`repro.ml.gbdt` concatenates every tree's arrays into
+one pack and walks all trees at once, summing the leaves in tree order
+with a sequential ``np.cumsum`` (not the pairwise ``np.sum``) so the
+result is bit-identical to adding the trees one by one.
 """
 
 from __future__ import annotations

@@ -15,7 +15,8 @@ stops making progress:
    deterministic (:func:`backoff_delay` over ``stable_seed``, never the
    wall clock).  Workers skip duplicate batch indices, so resends are
    idempotent by construction.
-3. **degraded-to-sibling** — the retry budget is spent or the link died
+3. **degraded-to-sibling** — the retry budget (consecutive stalls: an
+   ack that advances the cursor refills it) is spent or the link died
    (socket EOF, dead process, expired heartbeat): the link is taken
    down (and respawned with a fresh epoch when budget remains), and
    each of its routes is re-resumed *from its latest checkpoint* on the
@@ -482,7 +483,11 @@ class Router:
                 self._rpc_hist.record(now - sent)
             for k in [k for k in route.sent_at if k <= bi]:
                 del route.sent_at[k]
-            route.acked = max(route.acked, bi + 1)
+            if bi + 1 > route.acked:
+                # Progress: the stall budget is for consecutive stalls,
+                # not a lifetime total of scattered slow batches.
+                route.acked = bi + 1
+                route.retries = 0
             ckpt = msg.get("ckpt")
             if ckpt is not None and (route.ckpt is None or ckpt.seq >= route.ckpt.seq):
                 route.ckpt = ckpt

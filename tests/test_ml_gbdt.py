@@ -1,9 +1,15 @@
 """Tests for the GBDT regressor."""
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import gbdt as oracle
 from repro.ml import GBDTParams, GBDTRegressor
+from repro.ml.gbdt import keep_training_state
 
 
 @pytest.fixture(scope="module")
@@ -177,3 +183,126 @@ class TestModes:
         )
         assert fast.best_iteration_ == ref.best_iteration_
         np.testing.assert_array_equal(fast.predict(X), ref.predict(X))
+
+
+def _noisy(rng, n, m, nan_frac):
+    X = rng.normal(size=(n, m))
+    X[rng.random((n, m)) < nan_frac] = np.nan
+    return X
+
+
+class TestPackedWalkParity:
+    """The packed ensemble walk is byte-identical to the per-tree loop
+    (``tests/oracles/gbdt.py``) on every shape ``predict`` accepts."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        depth=st.integers(1, 8),
+        n_estimators=st.integers(1, 25),
+        subsample=st.sampled_from([1.0, 0.6]),
+        nan_frac=st.sampled_from([0.0, 0.15]),
+        early_stop=st.booleans(),
+        growth=st.lists(st.integers(0, 4), max_size=3),
+    )
+    def test_matches_per_tree_oracle(
+        self, seed, depth, n_estimators, subsample, nan_frac, early_stop, growth
+    ):
+        rng = np.random.default_rng(seed)
+        n, m = 160, 3
+        X = _noisy(rng, n, m, nan_frac)
+        y = 2.0 * np.nan_to_num(X[:, 0]) + np.sin(np.nan_to_num(X[:, 1]))
+        y += rng.normal(0, 0.1, n)
+        params = GBDTParams(
+            n_estimators=n_estimators, max_depth=depth, min_samples_leaf=5,
+            subsample=subsample, random_state=seed,
+            early_stopping_rounds=2 if early_stop else None,
+        )
+        model = GBDTRegressor(params)
+        if early_stop:
+            model.fit(X[:100], y[:100], eval_set=(X[100:], y[100:]))
+        else:
+            model.fit(X, y)
+        Xt = _noisy(rng, 23, m, nan_frac)
+
+        def check():
+            cases = [(Xt, None), (Xt[:0], None), (Xt[0], None), (Xt, 1)]
+            if model.best_iteration_ is not None:
+                cases += [(Xt, model.best_iteration_ + 1),
+                          (Xt, len(model.trees_))]
+            for rows, n_trees in cases:
+                got = model.predict(rows, n_trees=n_trees)
+                want = oracle.predict(model, rows, n_trees=n_trees)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+        check()
+        if early_stop:
+            return  # fit_more refuses an early-stopped fit
+        for k in growth:
+            # New rows are seeded through the walk, then new trees are
+            # appended: the next predict must see every one of them.
+            model.fit_more(_noisy(rng, 7, m, nan_frac), rng.normal(size=7), k)
+            check()
+
+    def test_chunked_rows_match_oracle(self, friedman, monkeypatch):
+        """A batch larger than one walk chunk stitches chunks in row
+        order."""
+        import repro.ml.gbdt as gbdt
+
+        X, y = friedman
+        model = GBDTRegressor(GBDTParams(n_estimators=30)).fit(X, y)
+        monkeypatch.setattr(gbdt, "_WALK_CELLS", 30 * 7)
+        assert model.predict(X).tobytes() == oracle.predict(model, X).tobytes()
+
+
+#: the attributes the pre-pack layout pickled, in order
+_PICKLED_LAYOUT = [
+    "params", "mode", "binner_", "base_score_", "trees_", "train_scores_",
+    "valid_scores_", "best_iteration_", "_Xb_train", "_y_train",
+    "_pred_train", "_rng", "_hist_cache",
+]
+
+
+class _LegacyPickle:
+    """Pickles as a model did before the pack existed: the class plus a
+    state dict with no pack attribute."""
+
+    def __init__(self, state):
+        self.state = state
+
+    def __reduce__(self):
+        return GBDTRegressor.__new__, (GBDTRegressor,), self.state
+
+
+class TestPicklePack:
+    @pytest.fixture
+    def model(self, friedman):
+        X, y = friedman
+        return GBDTRegressor(GBDTParams(n_estimators=15, max_depth=4)).fit(X, y)
+
+    @pytest.mark.parametrize("keep", [False, True], ids=["plain", "keep-state"])
+    def test_predict_never_changes_pickle_bytes(self, friedman, model, keep):
+        X, _ = friedman
+
+        def dump():
+            if keep:
+                with keep_training_state():
+                    return pickle.dumps(model)
+            return pickle.dumps(model)
+
+        before = dump()
+        model.predict(X[:50])
+        assert model._pack is not None
+        assert dump() == before
+        assert list(model.__getstate__()) == _PICKLED_LAYOUT
+
+    def test_legacy_layout_unpickles_and_predicts(self, friedman, model):
+        X, _ = friedman
+        want = model.predict(X)
+        state = model.__dict__.copy()
+        del state["_pack"]
+        restored = pickle.loads(pickle.dumps(_LegacyPickle(state)))
+        assert isinstance(restored, GBDTRegressor)
+        assert restored._pack is None
+        assert restored.predict(X).tobytes() == want.tobytes()

@@ -2,9 +2,9 @@
 
 Unit-level companions of the chaos suites: the deterministic backoff
 schedule the breaker ladder and the front-door client share, the
-heartbeat monitor behind the router's link liveness, and the shard
-host's planned-fault firing (no fork needed — the real side effects
-are stubbed).
+heartbeat monitor behind the router's link liveness, the breaker's
+retry budget, and the shard host's planned-fault firing (no fork
+needed — the real side effects are stubbed).
 """
 
 import pytest
@@ -12,7 +12,13 @@ import pytest
 from repro.framework import FaultPlan, FaultSpec, TransientWorkerFault
 from repro.serve import NetConfig
 from repro.serve.net import worker
-from repro.serve.net.router import HeartbeatMonitor, backoff_delay
+from repro.serve.net.router import (
+    HeartbeatMonitor,
+    RouteState,
+    Router,
+    WorkerLink,
+    backoff_delay,
+)
 
 
 class TestBackoff:
@@ -57,6 +63,67 @@ class TestHeartbeatMonitor:
     def test_no_timeout_never_expires(self):
         hb = HeartbeatMonitor(None, now=0.0)
         assert not hb.expired(1e9)
+
+
+class _Conn:
+    def __init__(self):
+        self.sent = []
+
+    def send(self, msg):
+        self.sent.append(msg)
+
+
+class TestRetryBudget:
+    """``max_retries`` bounds *consecutive* RPC-deadline stalls: an ack
+    that advances the cursor resets the count, so a long run with
+    scattered slow batches never takes its link down."""
+
+    def _router(self, monkeypatch, max_retries=2):
+        router = Router([], net=NetConfig(max_retries=max_retries))
+        link = WorkerLink("w0", 0, proc=None, conn=_Conn(),
+                          hb=HeartbeatMonitor(None, now=0.0))
+        router.links["w0"] = link
+        route = RouteState(type("T", (), {"shard_id": "m"})(),
+                           batches=list(range(100)), total=100)
+        route.worker = "w0"
+        route.phase = "streaming"
+        router.routes["m"] = route
+        downs = []
+        monkeypatch.setattr(
+            router, "_link_down",
+            lambda link, now, reason: downs.append(reason),
+        )
+        return router, link, route, downs
+
+    def _ack(self, router, link, bi, now):
+        router._handle(link, {"op": "ack", "cluster": "m", "bi": bi}, now)
+
+    def test_scattered_stalls_between_progress_keep_link(self, monkeypatch):
+        router, link, route, downs = self._router(monkeypatch)
+        now = 0.0
+        for cycle in range(6):
+            for _ in range(router.cfg.max_retries):
+                now += 1.0
+                router._route_stalled(route, now)
+            assert route.retries == router.cfg.max_retries
+            self._ack(router, link, bi=10 * cycle, now=now)
+            assert route.acked == 10 * cycle + 1
+            assert route.retries == 0
+        assert downs == []
+        assert router.stats.retries == 6 * router.cfg.max_retries
+
+    def test_consecutive_stalls_take_link_down(self, monkeypatch):
+        router, link, route, downs = self._router(monkeypatch)
+        self._ack(router, link, bi=5, now=0.0)
+        for i in range(router.cfg.max_retries):
+            router._route_stalled(route, 1.0 + i)
+        # A stale ack (nothing new acknowledged) is not progress.
+        self._ack(router, link, bi=3, now=5.0)
+        assert route.acked == 6
+        assert route.retries == router.cfg.max_retries
+        assert downs == []
+        router._route_stalled(route, 6.0)
+        assert downs == ["unresponsive"]
 
 
 class TestShardHostFaults:
