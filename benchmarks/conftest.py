@@ -5,9 +5,17 @@ once per run (``pedantic`` with a single round) — these are experiment
 harnesses, not micro-benchmarks; see ``test_bench_micro.py`` for the
 substrate micro-benchmarks.  Exhibit text is echoed so a benchmark run
 doubles as the paper-reproduction report.
+
+``tests/`` goes on the import path so benchmarks can time the package
+against the test-side oracles (``tests/oracles``).
 """
 
+import sys
+from pathlib import Path
+
 import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 
 @pytest.fixture

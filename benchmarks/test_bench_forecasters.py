@@ -7,10 +7,11 @@ Each test prints ``BENCH {json}`` lines forming the cross-PR trajectory
   synthetic seasonal series, scratch re-fits vs the ``update()`` path,
   with the score drift between the two (the warm band the incremental
   engine promises);
-* ``gbdt_fit_fast_vs_reference`` — one GBDT fit through the fused
-  histogram engine vs the scratch per-feature oracle, asserting the
-  ≥3x floor the batched model-fit engine promises (the two ensembles
-  are byte-identical, so the ratio is pure engine speedup);
+* ``gbdt_fit_fast_vs_reference`` — one GBDT fit through the package's
+  one-pass grower vs the per-feature reference loop
+  (``tests/oracles/gbdt.py``), asserting the ≥3x floor the batched
+  model-fit engine promises (the two ensembles are byte-identical, so
+  the ratio is pure engine speedup);
 * ``ablation_forecaster_e2e`` (slow) — the real §4.3.2 exhibit
   end-to-end, the chain that dominated ``run all`` before the
   incremental engine (PR 1 baseline: ~154 s of model fitting on the
@@ -23,6 +24,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import gbdt as gbdt_oracle
 from repro.energy import GBDTSeriesForecaster
 from repro.energy.forecaster import ForecastFeatures
 from repro.ml import (
@@ -109,12 +111,13 @@ def test_fold_cost_cold_vs_warm(name, series, capsys):
 
 
 def test_gbdt_fit_fast_vs_reference(capsys):
-    """Fused-histogram GBDT fit vs the per-feature reference oracle.
+    """One-pass GBDT fit vs the per-feature reference loop.
 
     The shape mirrors the experiment-scale QSSF/CES fits (a few hundred
     rows, ~two dozen features, depth-6 trees): per-feature numpy call
     overhead dominates the reference there, which is exactly what the
-    fused single-``bincount`` level pass plus frontier pruning removes.
+    one-``bincount``-per-statistic level pass plus frontier pruning
+    removes.
     The ≥3x floor is the batched model-fit engine's acceptance bar; the
     byte-parity assert keeps the ratio honest (same trees, same floats).
     """
@@ -125,16 +128,16 @@ def test_gbdt_fit_fast_vs_reference(capsys):
         n_estimators=60, learning_rate=0.2, max_depth=6, min_samples_leaf=30
     )
 
-    def best_of(factory, reps=3):
+    def best_of(fit, reps=3):
         times, model = [], None
         for _ in range(reps):
             t0 = time.perf_counter()
-            model = factory().fit(X, y)
+            model = fit(params, X, y)
             times.append(time.perf_counter() - t0)
         return min(times), model
 
-    ref_s, ref = best_of(lambda: GBDTRegressor(params, mode="reference"))
-    fast_s, fast = best_of(lambda: GBDTRegressor(params, mode="fast"))
+    ref_s, ref = best_of(gbdt_oracle.fit)
+    fast_s, fast = best_of(lambda p, X, y: GBDTRegressor(p).fit(X, y))
     np.testing.assert_array_equal(fast.predict(X), ref.predict(X))
     speedup = ref_s / fast_s
     with capsys.disabled():

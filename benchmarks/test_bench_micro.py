@@ -37,6 +37,24 @@ def test_gbdt_fit_20k(benchmark, regression_data):
     assert model.staged_mse()[-1] < np.var(y)
 
 
+def test_gbdt_fit_mixed_widths(benchmark):
+    """The serving set-up fit shape: ~1k rows, 18 features of which half
+    have at most 16 bins (calendar fields, small counts) and half up to
+    257, 150 depth-6 trees.  Uniform widths (``test_gbdt_fit_20k``)
+    cannot show what the ragged histogram layout saves."""
+    rng = np.random.default_rng(0)
+    n = 1_000
+    narrow = rng.integers(0, np.arange(2, 11), size=(n, 9))
+    wide = rng.normal(size=(n, 9))
+    X = np.column_stack([narrow, wide]).astype(float)
+    y = narrow[:, 0] + np.sin(wide[:, 0]) + rng.normal(0, 0.1, n)
+    params = GBDTParams(n_estimators=150, max_depth=6, min_samples_leaf=20)
+    model = benchmark(lambda: GBDTRegressor(params).fit(X, y))
+    widths = model.binner_.widths
+    assert (widths <= 16).sum() >= 9 and widths.max() > 200
+    assert model.staged_mse()[-1] < np.var(y)
+
+
 def test_gbdt_predict_20k(benchmark, regression_data):
     X, y = regression_data
     model = GBDTRegressor(GBDTParams(n_estimators=20)).fit(X, y)

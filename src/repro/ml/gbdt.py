@@ -6,13 +6,17 @@ stochastic row subsampling, and optional early stopping on a validation
 split.  For squared loss the negative gradient is simply the residual, so
 each stage fits a :class:`~repro.ml.tree.RegressionTree` to residuals.
 
-Like the simulator (``sim/fast.py``) the fit path has two modes:
-``mode="fast"`` (default) precomputes a :class:`~repro.ml.tree.HistogramCache`
-over the frozen binned matrix once per fit and reuses it across every
-boosting stage, driving the fused single-``bincount`` split search;
-``mode="reference"`` runs the scratch per-feature histogram loop.  Both
-produce byte-identical ensembles — the reference path is the oracle the
-parity tests and benchmarks compare against.
+Every stage grows its tree with the one grower of :mod:`repro.ml.tree`
+over a :class:`~repro.ml.tree.HistogramCache` built once per fit from the
+frozen binned matrix (ragged: each feature gets only as many histogram
+cells as the binner gave it bins) and reused by every stage, extended
+when :meth:`GBDTRegressor.fit_more` appends rows.  When no rows are
+subsampled, the stage advances the training predictions with the leaf
+values of the leaves the fit already routed each row to, instead of
+walking the new tree again.  The cache is derived state: never pickled,
+rebuilt on the first ``fit_more`` after unpickling.  The reference
+boosting loop (per-feature grower, per-stage tree walk) is the
+test-side oracle in ``tests/oracles/gbdt.py``.
 
 Prediction has one path, a *packed ensemble walk*.  Every tree's flat
 arrays are concatenated (node ids shifted by per-tree offsets) into one
@@ -63,8 +67,6 @@ def keep_training_state():
         yield
     finally:
         _KEEP_TRAINING_STATE -= 1
-
-_FIT_MODES = ("fast", "reference")
 
 #: node cells (rows × trees) one chunk of the packed walk holds at most;
 #: bounds the walk's working set on large batch predictions
@@ -182,13 +184,8 @@ class GBDTRegressor:
     True
     """
 
-    def __init__(
-        self, params: GBDTParams | None = None, *, mode: str = "fast"
-    ) -> None:
-        if mode not in _FIT_MODES:
-            raise ValueError(f"mode must be one of {_FIT_MODES}, got {mode!r}")
+    def __init__(self, params: GBDTParams | None = None) -> None:
         self.params = params or GBDTParams()
-        self.mode = mode
         self.binner_: Binner | None = None
         self.base_score_: float = 0.0
         self.trees_: list[RegressionTree] = []
@@ -202,8 +199,8 @@ class GBDTRegressor:
         self._y_train: np.ndarray | None = None
         self._pred_train: np.ndarray | None = None
         self._rng: np.random.Generator | None = None
-        # Fast-mode per-feature offset cache over the frozen binned matrix,
-        # built once per fit and reused by every boosting stage.
+        # Histogram keys over the frozen binned matrix: built once per fit,
+        # reused by every boosting stage, never pickled.
         self._hist_cache: HistogramCache | None = None
         # Packed ensemble for prediction: derived from trees_, built
         # lazily, never pickled (see _walk).
@@ -246,13 +243,10 @@ class GBDTRegressor:
         self.valid_scores_ = []
         best_val = np.inf
         best_iter = 0
-        n_bins = self.binner_.n_bins
-        self._hist_cache = (
-            HistogramCache(Xb, n_bins) if self.mode == "fast" else None
-        )
+        self._hist_cache = HistogramCache(Xb, self.binner_.widths)
 
         for it in range(p.n_estimators):
-            tree = self._boost_round(Xb, y, pred, rng, tree_params, n_bins)
+            tree = self._boost_round(Xb, y, pred, rng, tree_params)
 
             if pred_val is not None:
                 pred_val += p.learning_rate * tree.predict_binned(Xb_val)
@@ -282,11 +276,15 @@ class GBDTRegressor:
         pred: np.ndarray,
         rng: np.random.Generator,
         tree_params: TreeParams,
-        n_bins: int,
     ) -> RegressionTree:
         """One boosting stage, shared by :meth:`fit` and :meth:`fit_more`:
         fit a tree to the residuals (optionally row-subsampled), advance
-        ``pred`` in place, record the tree and its training MSE."""
+        ``pred`` in place, record the tree and its training MSE.
+
+        Without subsampling every row was routed to its leaf by the fit,
+        so ``value[leaf]`` is exactly what ``predict_binned(Xb)`` would
+        return; a subsampled fit saw only some rows, so the new tree is
+        walked over all of them."""
         p = self.params
         n = y.shape[0]
         residual = y - pred
@@ -294,15 +292,10 @@ class GBDTRegressor:
         if p.subsample < 1.0:
             k = max(1, int(round(p.subsample * n)))
             idx = rng.choice(n, size=k, replace=False)
-        tree = RegressionTree(tree_params).fit(
-            Xb,
-            residual,
-            sample_indices=idx,
-            n_bins=n_bins,
-            mode=self.mode,
-            cache=self._hist_cache,
-        )
-        pred += p.learning_rate * tree.predict_binned(Xb)
+        tree = RegressionTree(tree_params)
+        leaf = tree.grow(Xb, residual, sample_indices=idx, cache=self._hist_cache)
+        step = tree._tree.value[leaf] if idx is None else tree.predict_binned(Xb)
+        pred += p.learning_rate * step
         self.trees_.append(tree)
         self.train_scores_.append(float(np.mean((y - pred) ** 2)))
         return tree
@@ -320,19 +313,25 @@ class GBDTRegressor:
         buffers are kept, so a restored model continues boosting.
         """
         state = self.__dict__.copy()
-        # Derived from trees_: rebuilt on demand, so pickles (checkpoints,
-        # artifacts) are the same bytes whether or not predict ran.
+        # Derived state, rebuilt on demand: the pack from trees_, the
+        # histogram cache from _Xb_train and the binner.  Pickles
+        # (checkpoints, artifacts) are the same bytes whether or not
+        # predict ran, and checkpoints do not carry the cache.
         state.pop("_pack", None)
+        state["_hist_cache"] = None
         if not _KEEP_TRAINING_STATE:
             state["_Xb_train"] = None
             state["_y_train"] = None
             state["_pred_train"] = None
-            state["_hist_cache"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
+        state.pop("mode", None)  # older pickles still name a fit mode
         self.__dict__.update(state)
         self._pack = None
+        # An older pickle's cache may have another key layout; fit_more
+        # rebuilds it from _Xb_train.
+        self._hist_cache = None
 
     # ------------------------------------------------------------------
     def fit_more(
@@ -376,14 +375,15 @@ class GBDTRegressor:
                 self._hist_cache.append(Xb_new)
             self._y_train = np.concatenate([self._y_train, y_new])
             self._pred_train = np.concatenate([self._pred_train, pred_new])
+        if self._hist_cache is None:  # unpickled: rebuild the derived keys
+            self._hist_cache = HistogramCache(self._Xb_train, self.binner_.widths)
 
         Xb, y, pred = self._Xb_train, self._y_train, self._pred_train
         tree_params = TreeParams(
             max_depth=p.max_depth, min_samples_leaf=p.min_samples_leaf
         )
-        n_bins = self.binner_.n_bins
         for _ in range(n_more):
-            self._boost_round(Xb, y, pred, self._rng, tree_params, n_bins)
+            self._boost_round(Xb, y, pred, self._rng, tree_params)
         return self
 
     # ------------------------------------------------------------------

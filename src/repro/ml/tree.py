@@ -11,29 +11,45 @@ This is the LightGBM-style design the paper's GBDT [42] relies on:
    split gain is the variance-reduction form
    ``S_l²/n_l + S_r²/n_r − S²/n``.
 
-Histogram building has two implementations behind ``fit(mode=...)``,
-mirroring the fast/reference split of :mod:`repro.sim.fast`:
+There is one grower.  Each tree level makes one pass over a
+:class:`HistogramCache`, a key matrix built once per GBDT fit:
 
-* ``"fast"`` (default) — one fused ``np.bincount`` pass per level keyed
-  by ``node_slot · (m · n_bins) + feature · n_bins + bin``, with the
-  per-feature key offsets precomputed once per GBDT fit in a
-  :class:`HistogramCache` (the binned matrix is frozen across boosting
-  stages, so the cache is built once and reused by every tree).
-* ``"reference"`` — the original per-feature Python loop (two
-  ``np.bincount`` calls per feature per level), kept verbatim as the
-  byte-parity correctness oracle.
+* **Ragged layout.**  Feature ``f`` owns ``width_f`` histogram cells (its
+  own bin count, missing bin included) plus two guard cells, instead of
+  every feature being padded to the widest one.  A row's key is
+  ``slot · n_cells + start_f + bin``, where ``slot`` is its node's place
+  in the level's frontier; rows of nodes outside the frontier share one
+  trailing slot whose cells are thrown away, so a level gathers no rows.
+  Two ``np.bincount`` calls build every count and residual-sum histogram
+  of the level, each cell summing its rows in increasing row order.
+* **Prefix sums that restart per feature.**  One ``np.cumsum`` runs along
+  each node's whole row of cells.  The guard cells after each feature
+  bring the running sum back to exactly zero before the next feature
+  starts: counts get ``−n_node`` (integers, exact), residual sums get
+  ``+G`` then ``−G`` for a power of two ``G`` so large that any running
+  sum rounds away into it and ``G − G`` is exactly ``0``.  So every
+  feature's prefix sums are the same floats a per-feature cumulative sum
+  gives.  The last bin and the guard cells can never be valid thresholds
+  (one side would be empty), so they score ``-inf``.
+* **One flat arg-max** per node picks the best cell; its first-occurrence
+  rule keeps the lowest-feature-then-lowest-bin tie-break.
+* **Counts from the split.**  A child's row count is the chosen split's
+  left/right count, so frontier nodes with fewer than
+  ``2·min_samples_leaf`` rows (which cannot split) are dropped without
+  recounting rows.
+* :meth:`RegressionTree.grow` returns the leaf each fitted row ends in,
+  so the boosting loop advances its training predictions with
+  ``value[leaf]`` instead of walking the new tree again.
 
-Both modes accumulate per-bin statistics in the same row order, take the
-same cumulative sums and break gain ties identically (lowest feature,
-then lowest bin), so the grown trees are bit-for-bit identical.
+The per-feature loop this grower replaced lives on as the test-side
+byte-parity oracle in ``tests/oracles/tree.py``.
 
 The tree is stored as flat arrays so prediction is a vectorized walk.
-:meth:`RegressionTree.predict_binned` walks one tree (the boosting loop
-uses it to advance its running predictions stage by stage); ensemble
-prediction in :mod:`repro.ml.gbdt` concatenates every tree's arrays into
-one pack and walks all trees at once, summing the leaves in tree order
-with a sequential ``np.cumsum`` (not the pairwise ``np.sum``) so the
-result is bit-identical to adding the trees one by one.
+:meth:`RegressionTree.predict_binned` walks one tree; ensemble prediction
+in :mod:`repro.ml.gbdt` concatenates every tree's arrays into one pack and
+walks all trees at once, summing the leaves in tree order with a
+sequential ``np.cumsum`` (not the pairwise ``np.sum``) so the result is
+bit-identical to adding the trees one by one.
 """
 
 from __future__ import annotations
@@ -44,7 +60,9 @@ import numpy as np
 
 __all__ = ["Binner", "HistogramCache", "TreeParams", "RegressionTree"]
 
-_FIT_MODES = ("fast", "reference")
+#: guard value that resets a running residual sum to exactly zero: any
+#: finite sum below 2**946 in magnitude rounds away when added to it
+_GUARD = 2.0 ** 1000
 
 
 class Binner:
@@ -115,6 +133,13 @@ class Binner:
         return self.edges_[feature].size + 1
 
     @property
+    def widths(self) -> np.ndarray:
+        """Per-feature bin count (``edges.size + 2``), missing bin included."""
+        if self.edges_ is None:
+            raise RuntimeError("Binner not fitted")
+        return np.array([e.size + 2 for e in self.edges_], dtype=np.int64)
+
+    @property
     def n_bins(self) -> int:
         """Upper bound of bin index + 1 across features.
 
@@ -127,29 +152,36 @@ class Binner:
 
 
 class HistogramCache:
-    """Fused-key view of a frozen binned matrix, shared across trees.
+    """Ragged histogram keys of a frozen binned matrix, shared across trees.
 
-    Stores ``base[i, f] = f * n_bins + X_binned[i, f]`` so the fast fit
-    path can build every (node, feature, bin) histogram of a level with
-    a single ``np.bincount`` keyed by ``slot * (m * n_bins) + base``.
-    A GBDT fit builds the cache once from the binned training matrix and
-    hands it to every boosting stage — the per-feature key arithmetic
-    (and the int64 upcast of the whole matrix) happens once per fit
-    instead of once per feature per level per tree.  ``append`` extends
-    it in step with ``fit_more``'s row growth.
+    Feature ``f`` owns ``widths[f]`` cells for its bins followed by two
+    guard cells, starting at cell ``starts[f]``; ``base[i, f] = starts[f]
+    + X_binned[i, f]`` is row ``i``'s cell for feature ``f``.  A GBDT fit
+    builds the cache once from the binned training matrix (``widths``
+    from :attr:`Binner.widths`) and hands it to every boosting stage, so
+    the key arithmetic and the int64 upcast of the whole matrix happen
+    once per fit.  ``append`` extends it in step with ``fit_more``'s row
+    growth.  ``widths`` may be one int for every feature.
     """
 
-    def __init__(self, X_binned: np.ndarray, n_bins: int) -> None:
+    def __init__(self, X_binned: np.ndarray, widths) -> None:
         X_binned = np.asarray(X_binned)
         if X_binned.ndim != 2:
             raise ValueError("X_binned must be 2-D")
-        if n_bins < 1:
-            raise ValueError("n_bins must be >= 1")
-        self.n_bins = int(n_bins)
-        self._offsets = (
-            np.arange(X_binned.shape[1], dtype=np.int64) * self.n_bins
-        )
-        self.base = X_binned.astype(np.int64) + self._offsets
+        m = X_binned.shape[1]
+        widths = np.broadcast_to(np.asarray(widths, dtype=np.int64), (m,))
+        if m and widths.min() < 1:
+            raise ValueError("widths must be >= 1")
+        span = widths + 2
+        self.starts = np.cumsum(span) - span
+        self.n_cells = int(span.sum())
+        self.n_bins = int(widths.max()) if m else 1
+        #: the first of each feature's two guard cells
+        self.guard = self.starts + widths
+        #: feature and bin of every cell, to decode the arg-max
+        self.cell_feature = np.repeat(np.arange(m), span)
+        self.cell_bin = np.arange(self.n_cells) - np.repeat(self.starts, span)
+        self.base = X_binned.astype(np.int64) + self.starts
 
     @property
     def n_rows(self) -> int:
@@ -165,7 +197,7 @@ class HistogramCache:
         if X_binned_new.ndim != 2 or X_binned_new.shape[1] != self.n_features:
             raise ValueError("appended rows must match the cached feature count")
         self.base = np.vstack(
-            [self.base, X_binned_new.astype(np.int64) + self._offsets]
+            [self.base, X_binned_new.astype(np.int64) + self.starts]
         )
 
 
@@ -217,227 +249,176 @@ class RegressionTree:
         y: np.ndarray,
         sample_indices: np.ndarray | None = None,
         n_bins: int | None = None,
-        mode: str = "fast",
         cache: HistogramCache | None = None,
     ) -> "RegressionTree":
-        """Grow the tree.  ``n_bins`` (any upper bound on bin index + 1,
-        e.g. ``Binner.n_bins``) skips the per-tree matrix max-scan the
-        boosting loop would otherwise repeat for every stage.
+        """Grow the tree (see :meth:`grow`)."""
+        self.grow(X_binned, y, sample_indices, n_bins, cache)
+        return self
 
-        ``mode`` selects the histogram builder (``"fast"`` fused pass /
-        ``"reference"`` per-feature loop — bit-identical trees either
-        way); ``cache`` optionally supplies the fast path's precomputed
-        :class:`HistogramCache` over the *full* (pre-``sample_indices``)
-        matrix, which the boosting loop reuses across stages.
+    def grow(
+        self,
+        X_binned: np.ndarray,
+        y: np.ndarray,
+        sample_indices: np.ndarray | None = None,
+        n_bins: int | None = None,
+        cache: HistogramCache | None = None,
+    ) -> np.ndarray:
+        """Grow the tree; return the leaf id of every fitted row.
+
+        ``cache`` supplies the :class:`HistogramCache` over the *full*
+        (pre-``sample_indices``) matrix, which the boosting loop reuses
+        across stages.  Without one, a cache is built with ``n_bins``
+        cells per feature (any upper bound on bin index + 1, e.g.
+        ``Binner.n_bins``), or each feature's own ``max + 1``.  The
+        layout changes only which cells are scanned, never the tree.
         """
-        if mode not in _FIT_MODES:
-            raise ValueError(f"mode must be one of {_FIT_MODES}, got {mode!r}")
         X_binned = np.asarray(X_binned)
         y = np.asarray(y, dtype=float)
         if X_binned.ndim != 2 or X_binned.shape[0] != y.shape[0]:
             raise ValueError("X_binned/y shape mismatch")
-        base = None
-        if mode == "fast" and cache is not None:
-            if cache.base.shape != X_binned.shape:
-                raise ValueError("cache does not match X_binned's shape")
+        if cache is None:
+            if sample_indices is not None:
+                X_binned, y = X_binned[sample_indices], y[sample_indices]
+                sample_indices = None
             if n_bins is None:
-                n_bins = cache.n_bins
-            elif n_bins != cache.n_bins:
-                raise ValueError("cache was built with a different n_bins")
-            base = cache.base
+                n_bins = X_binned.max(axis=0) + 1 if X_binned.size else 1
+            cache = HistogramCache(X_binned, n_bins)
+        elif cache.base.shape != X_binned.shape:
+            raise ValueError("cache does not match X_binned's shape")
+        elif n_bins is not None and n_bins != cache.n_bins:
+            raise ValueError("cache was built with a different n_bins")
+        base = cache.base
         if sample_indices is not None:
-            X_binned = X_binned[sample_indices]
-            y = y[sample_indices]
-            if base is not None:
-                base = base[sample_indices]
-        n, m = X_binned.shape
+            base, y = base[sample_indices], y[sample_indices]
+        n, m = base.shape
         self.n_features_ = m
-        if n_bins is None:
-            n_bins = int(X_binned.max()) + 1 if n else 1
+        self.split_gains_ = {}
         p = self.params
+        leaf_of = np.zeros(n, dtype=np.intp)
 
-        # Growing arrays (python lists; appended per created node).
-        feature: list[int] = [-1]
-        thresh: list[int] = [-1]
-        left: list[int] = [-1]
-        right: list[int] = [-1]
-        value: list[float] = [float(y.mean()) if n else 0.0]
-        is_leaf: list[bool] = [True]
-
-        if n == 0 or n_bins < 2:
+        if n == 0 or cache.n_bins < 2:
             # No data, or every feature landed in a single bin: stump.
-            self._finalize(feature, thresh, left, right, value, is_leaf)
-            return self
+            value = [float(y.mean()) if n else 0.0]
+            self._finalize([-1], [-1], [-1], [-1], value, [True])
+            return leaf_of
 
-        if mode == "fast" and base is None:
-            base = X_binned.astype(np.int64) + np.arange(m, dtype=np.int64) * n_bins
+        cap = 2 ** (p.max_depth + 1) - 1
+        feature = np.full(cap, -1, dtype=np.int32)
+        thresh = np.full(cap, -1, dtype=np.int32)
+        left = np.full(cap, -1, dtype=np.int32)
+        right = np.full(cap, -1, dtype=np.int32)
+        value = np.zeros(cap)
+        value[0] = y.mean()
+        count = np.zeros(cap, dtype=np.int64)
+        count[0] = n
+        cut_cell = np.zeros(cap, dtype=np.int64)  # a split node's chosen cell
+        n_nodes = 1
 
-        node_of = np.zeros(n, dtype=np.int64)
-        frontier = [0]  # node ids eligible for splitting at current depth
+        n_cells = cache.n_cells
+        weights = np.repeat(y, m)
+        base_flat = base.ravel()
+        row_off = np.arange(n) * m
+        key = np.empty_like(base)
+        frontier = np.zeros(1, dtype=np.intp)
 
-        for _depth in range(p.max_depth):
-            if mode == "fast" and frontier:
-                # Nodes with fewer than 2*min_samples_leaf rows can never
-                # satisfy a valid split (both children need min_samples_leaf),
-                # so the reference loop scores them all -inf.  Skipping their
-                # histograms entirely yields the identical tree for free.
-                node_counts = np.bincount(node_of, minlength=len(value))
-                frontier = [
-                    nid
-                    for nid in frontier
-                    if node_counts[nid] >= 2 * p.min_samples_leaf
-                ]
-            if not frontier:
+        for depth in range(p.max_depth):
+            frontier = frontier[count[frontier] >= 2 * p.min_samples_leaf]
+            k = frontier.size
+            if not k:
                 break
-            frontier_arr = np.asarray(frontier)
-            # Map node id -> dense slot for this level.
-            slot_of = np.full(len(value), -1, dtype=np.int64)
-            slot_of[frontier_arr] = np.arange(len(frontier_arr))
-            active = slot_of[node_of] >= 0
-            act_slots = slot_of[node_of[active]]
-            act_y = y[active]
-            k = len(frontier_arr)
-
-            tot_cnt = np.bincount(act_slots, minlength=k).astype(float)
-            tot_sum = np.bincount(act_slots, weights=act_y, minlength=k)
-
-            if mode == "fast":
-                best_gain, best_feat, best_bin = self._best_splits_fast(
-                    base, active, act_slots, act_y, k, m, n_bins,
-                    tot_cnt, tot_sum,
-                )
-            else:
-                best_gain, best_feat, best_bin = self._best_splits_reference(
-                    X_binned, active, act_slots, act_y, k, m, n_bins,
-                    tot_cnt, tot_sum,
-                )
-
-            # Create children for nodes with a worthwhile split.
-            split_mask = best_gain > p.min_gain
-            next_frontier: list[int] = []
-            child_left = np.full(k, -1, dtype=np.int64)
-            for slot in np.flatnonzero(split_mask):
-                node = int(frontier_arr[slot])
-                lid, rid = len(value), len(value) + 1
-                feature[node] = int(best_feat[slot])
-                thresh[node] = int(best_bin[slot])
-                left[node] = lid
-                right[node] = rid
-                is_leaf[node] = False
-                self.split_gains_[node] = float(best_gain[slot])
-                for _ in range(2):
-                    feature.append(-1)
-                    thresh.append(-1)
-                    left.append(-1)
-                    right.append(-1)
-                    value.append(0.0)
-                    is_leaf.append(True)
-                child_left[slot] = lid
-                next_frontier.extend((lid, rid))
-
-            if not next_frontier:
-                break
-
-            # Route samples of split nodes to their children (vectorized).
-            slots = slot_of[node_of]
-            moving = (slots >= 0) & split_mask[np.clip(slots, 0, k - 1)]
-            mv_slots = slots[moving]
-            fvals = X_binned[moving, best_feat[mv_slots]]
-            go_left = fvals <= best_bin[mv_slots]
-            node_of[moving] = np.where(
-                go_left, child_left[mv_slots], child_left[mv_slots] + 1
+            slot_of = np.full(n_nodes, k, dtype=np.intp)
+            slot_of[frontier] = np.arange(k)
+            row_slot = slot_of[leaf_of]
+            level_key = base  # at the root every row is in slot 0
+            if depth:
+                level_key = np.add(base, (row_slot * n_cells)[:, None], out=key)
+            gain, cell, lc = self._best_splits(
+                cache, level_key, weights, row_slot, y, count[frontier]
             )
-            frontier = next_frontier
 
-        # Leaf values = mean target of samples landing there.
-        leaf_cnt = np.bincount(node_of, minlength=len(value)).astype(float)
-        leaf_sum = np.bincount(node_of, weights=y, minlength=len(value))
-        for nid in range(len(value)):
-            if is_leaf[nid] and leaf_cnt[nid] > 0:
-                value[nid] = leaf_sum[nid] / leaf_cnt[nid]
-        self._finalize(feature, thresh, left, right, value, is_leaf)
-        return self
+            split = np.flatnonzero(gain > p.min_gain)
+            if not split.size:
+                break
+            nodes = frontier[split]
+            cut = cell[split]
+            lid = n_nodes + 2 * np.arange(split.size)
+            feature[nodes] = cache.cell_feature[cut]
+            thresh[nodes] = cache.cell_bin[cut]
+            cut_cell[nodes] = cut
+            left[nodes] = lid
+            right[nodes] = lid + 1
+            count[lid] = lc[split]
+            count[lid + 1] = count[nodes] - lc[split]
+            self.split_gains_.update(zip(nodes.tolist(), gain[split].tolist()))
+            frontier = np.arange(n_nodes, n_nodes + 2 * split.size)
+            n_nodes += 2 * split.size
 
-    def _best_splits_fast(
-        self, base, active, act_slots, act_y, k, m, n_bins, tot_cnt, tot_sum
+            # Rows only ever sit in leaves, so a row whose node now has a
+            # left child was just split: it goes left iff its cell for the
+            # split feature is at or below the chosen cell.
+            child = left[leaf_of]
+            moving = child >= 0
+            child += base_flat[row_off + feature[leaf_of]] > cut_cell[leaf_of]
+            np.copyto(leaf_of, child, where=moving)
+
+        # Leaf values = mean target of samples landing there (every leaf
+        # holds at least min_samples_leaf rows, or is the root of n > 0).
+        is_leaf = left[:n_nodes] < 0
+        leaf_sum = np.bincount(leaf_of, weights=y, minlength=n_nodes)
+        value[:n_nodes][is_leaf] = leaf_sum[is_leaf] / count[:n_nodes][is_leaf]
+        self._tree = _FlatTree(
+            feature=feature[:n_nodes].copy(),
+            threshold_bin=thresh[:n_nodes].copy(),
+            left=left[:n_nodes].copy(),
+            right=right[:n_nodes].copy(),
+            value=value[:n_nodes].copy(),
+            is_leaf=is_leaf,
+        )
+        return leaf_of
+
+    def _best_splits(
+        self, cache, key, weights, row_slot, y, node_cnt
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One fused histogram pass for every (node, feature) of a level.
+        """Best split of every frontier node from one histogram pass.
 
-        Keys ``slot * (m * n_bins) + f * n_bins + bin`` feed a single
-        ``np.bincount`` per statistic; within each (slot, feature, bin)
-        cell the accumulation visits rows in the same order as the
-        reference per-feature loop, so the sums are bit-identical.  The
-        flat argmax breaks gain ties exactly like the reference's strict
-        ``>`` scan: lowest feature first, then lowest bin.
+        Returns per node the gain, the chosen cell and its left count.
+        Expressions and evaluation order match the per-feature reference
+        scan (``tests/oracles/tree.py``), so every valid cell's gain is
+        the same float; its ``np.maximum(·, 1)`` guards on the counts are
+        dropped because they only change cells that score ``-inf``.
         """
-        p = self.params
-        key = base[active]  # fresh copy — safe to offset in place
-        key += (act_slots * (m * n_bins))[:, None]
+        msl = self.params.min_samples_leaf
+        k = node_cnt.size
+        n_cells = cache.n_cells
         key = key.ravel()
-        minlength = k * m * n_bins
-        cnt = np.bincount(key, minlength=minlength).reshape(k, m, n_bins)
-        sm = np.bincount(
-            key, weights=np.repeat(act_y, m), minlength=minlength
-        ).reshape(k, m, n_bins)
-        np.cumsum(cnt, axis=2, out=cnt)
-        np.cumsum(sm, axis=2, out=sm)
-        lc = cnt[:, :, :-1]  # left counts per threshold
-        ls = sm[:, :, :-1]
-        rc = tot_cnt[:, None, None] - lc
-        rs = tot_sum[:, None, None] - ls
-        valid = (lc >= p.min_samples_leaf) & (rc >= p.min_samples_leaf)
-        # Same expressions and evaluation order as the reference loop,
-        # rewritten with out= buffers so each level allocates O(1) large
-        # temporaries instead of ~a dozen.
-        with np.errstate(invalid="ignore", divide="ignore"):
+        size = (k + 1) * n_cells
+        tot_cnt = node_cnt.astype(float)
+        tot_sum = np.bincount(row_slot, weights=y, minlength=k + 1)[:k]
+        lc = np.bincount(key, minlength=size)[: k * n_cells].reshape(k, n_cells)
+        ls = np.bincount(key, weights=weights, minlength=size)[: k * n_cells]
+        ls = ls.reshape(k, n_cells)
+        lc[:, cache.guard + 1] = -node_cnt[:, None]
+        ls[:, cache.guard] = _GUARD
+        ls[:, cache.guard + 1] = -_GUARD
+        np.cumsum(lc, axis=1, out=lc)
+        np.cumsum(ls, axis=1, out=ls)
+        # Invalid cells (either side under min_samples_leaf, which covers
+        # every last bin and guard cell) may divide by zero or overflow:
+        # they are overwritten with -inf below.
+        with np.errstate(all="ignore"):
             gain = ls * ls
-            gain /= np.maximum(lc, 1)
-            rhs = rs * rs
-            rhs /= np.maximum(rc, 1)
-            gain += rhs
-            gain -= (tot_sum * tot_sum / np.maximum(tot_cnt, 1))[:, None, None]
-        np.logical_not(valid, out=valid)
-        gain[valid] = -np.inf
-        flat = gain.reshape(k, m * (n_bins - 1))
-        best_idx = np.argmax(flat, axis=1)
-        best_gain = flat[np.arange(k), best_idx]
-        return best_gain, best_idx // (n_bins - 1), best_idx % (n_bins - 1)
-
-    def _best_splits_reference(
-        self, X_binned, active, act_slots, act_y, k, m, n_bins, tot_cnt, tot_sum
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-feature histogram loop — the byte-parity oracle."""
-        p = self.params
-        best_gain = np.full(k, -np.inf)
-        best_feat = np.full(k, -1, dtype=np.int64)
-        best_bin = np.full(k, -1, dtype=np.int64)
-
-        for f in range(m):
-            bins_f = X_binned[active, f].astype(np.int64)
-            key = act_slots * n_bins + bins_f
-            cnt = np.bincount(key, minlength=k * n_bins).reshape(k, n_bins)
-            sm = np.bincount(
-                key, weights=act_y, minlength=k * n_bins
-            ).reshape(k, n_bins)
-            lc = np.cumsum(cnt, axis=1)[:, :-1]  # left counts per threshold
-            ls = np.cumsum(sm, axis=1)[:, :-1]
-            rc = tot_cnt[:, None] - lc
+            gain /= lc
             rs = tot_sum[:, None] - ls
-            valid = (lc >= p.min_samples_leaf) & (rc >= p.min_samples_leaf)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                gain = (
-                    ls * ls / np.maximum(lc, 1)
-                    + rs * rs / np.maximum(rc, 1)
-                    - (tot_sum * tot_sum / np.maximum(tot_cnt, 1))[:, None]
-                )
-            gain[~valid] = -np.inf
-            f_best_bin = np.argmax(gain, axis=1)
-            f_best_gain = gain[np.arange(k), f_best_bin]
-            better = f_best_gain > best_gain
-            best_gain[better] = f_best_gain[better]
-            best_feat[better] = f
-            best_bin[better] = f_best_bin[better]
-        return best_gain, best_feat, best_bin
+            rs *= rs
+            rs /= tot_cnt[:, None] - lc
+            gain += rs
+            gain -= (tot_sum * tot_sum / np.maximum(tot_cnt, 1))[:, None]
+        invalid = lc < msl
+        invalid |= lc > (node_cnt - msl)[:, None]
+        gain[invalid] = -np.inf
+        best = np.argmax(gain, axis=1)
+        rows = np.arange(k)
+        return gain[rows, best], best, lc[rows, best]
 
     def _finalize(self, feature, thresh, left, right, value, is_leaf) -> None:
         self._tree = _FlatTree(

@@ -150,9 +150,8 @@ class TestPredict:
 
 
 class TestModes:
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            GBDTRegressor(mode="turbo")
+    """The package's one boosting loop against the reference loop
+    (``tests/oracles/gbdt.py``)."""
 
     @pytest.mark.parametrize(
         "params",
@@ -164,8 +163,8 @@ class TestModes:
     )
     def test_fast_is_byte_identical_to_reference(self, friedman, params):
         X, y = friedman
-        fast = GBDTRegressor(params, mode="fast").fit(X, y)
-        ref = GBDTRegressor(params, mode="reference").fit(X, y)
+        fast = GBDTRegressor(params).fit(X, y)
+        ref = oracle.fit(params, X, y)
         np.testing.assert_array_equal(fast.predict(X), ref.predict(X))
         assert fast.staged_mse() == ref.staged_mse()
         np.testing.assert_array_equal(
@@ -175,12 +174,10 @@ class TestModes:
     def test_early_stopping_parity(self, friedman):
         X, y = friedman
         p = GBDTParams(n_estimators=100, early_stopping_rounds=5, max_depth=3)
-        fast = GBDTRegressor(p, mode="fast").fit(
+        fast = GBDTRegressor(p).fit(
             X[:600], y[:600], eval_set=(X[600:], y[600:])
         )
-        ref = GBDTRegressor(p, mode="reference").fit(
-            X[:600], y[:600], eval_set=(X[600:], y[600:])
-        )
+        ref = oracle.fit(p, X[:600], y[:600], eval_set=(X[600:], y[600:]))
         assert fast.best_iteration_ == ref.best_iteration_
         np.testing.assert_array_equal(fast.predict(X), ref.predict(X))
 
@@ -256,9 +253,9 @@ class TestPackedWalkParity:
         assert model.predict(X).tobytes() == oracle.predict(model, X).tobytes()
 
 
-#: the attributes the pre-pack layout pickled, in order
+#: the attributes a model pickles, in order (the pack is never pickled)
 _PICKLED_LAYOUT = [
-    "params", "mode", "binner_", "base_score_", "trees_", "train_scores_",
+    "params", "binner_", "base_score_", "trees_", "train_scores_",
     "valid_scores_", "best_iteration_", "_Xb_train", "_y_train",
     "_pred_train", "_rng", "_hist_cache",
 ]
@@ -302,7 +299,132 @@ class TestPicklePack:
         want = model.predict(X)
         state = model.__dict__.copy()
         del state["_pack"]
+        state["mode"] = "fast"  # pickled while models still had fit modes
         restored = pickle.loads(pickle.dumps(_LegacyPickle(state)))
         assert isinstance(restored, GBDTRegressor)
         assert restored._pack is None
+        assert not hasattr(restored, "mode")
         assert restored.predict(X).tobytes() == want.tobytes()
+
+
+def _assert_same_fit(model, ref):
+    """Every tree array, score and training prediction, byte for byte."""
+    assert len(model.trees_) == len(ref.trees_)
+    for a, b in zip(model.trees_, ref.trees_):
+        assert pickle.dumps(a) == pickle.dumps(b)
+    assert model.train_scores_ == ref.train_scores_
+    assert model.valid_scores_ == ref.valid_scores_
+    assert model.best_iteration_ == ref.best_iteration_
+    if ref._pred_train is not None:
+        assert model._pred_train.tobytes() == ref._pred_train.tobytes()
+
+
+class TestReferenceLoopParity:
+    """The one-pass grower, the ragged cache and the leaf-reuse update
+    against the reference loop (``tests/oracles/gbdt.py``)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(30, 220),
+        depth=st.integers(1, 7),
+        n_estimators=st.integers(1, 12),
+        min_samples_leaf=st.integers(1, 25),
+        max_bins=st.sampled_from([2, 4, 16, 256]),
+        subsample=st.sampled_from([1.0, 0.6]),
+        growth=st.lists(st.integers(0, 12), max_size=3),
+    )
+    def test_matches_reference_loop(
+        self, seed, n, depth, n_estimators, min_samples_leaf, max_bins,
+        subsample, growth,
+    ):
+        rng = np.random.default_rng(seed)
+
+        def rows(k):
+            X = np.column_stack([
+                np.full(k, 1.0),                            # constant
+                np.full(k, np.nan),                         # all-NaN
+                np.round(rng.normal(size=k)),               # coarse
+                rng.normal(size=k),                         # fine
+                np.where(rng.random(k) < 0.2, np.nan, rng.normal(size=k)),
+            ])
+            y = 2.0 * X[:, 2] + np.sin(X[:, 3]) + rng.normal(0, 0.1, k)
+            return X, y
+
+        X, y = rows(n)
+        params = GBDTParams(
+            n_estimators=n_estimators, max_depth=depth,
+            min_samples_leaf=min_samples_leaf, max_bins=max_bins,
+            subsample=subsample, random_state=seed,
+        )
+        model = GBDTRegressor(params).fit(X, y)
+        ref = oracle.fit(params, X, y)
+        _assert_same_fit(model, ref)
+        for k in growth:
+            X_new, y_new = rows(k)
+            model.fit_more(X_new, y_new, 3)
+            oracle.fit_more(ref, X_new, y_new, 3)
+            _assert_same_fit(model, ref)
+
+    def test_subsampled_stage_walks_the_tree(self, friedman, monkeypatch):
+        """Only a subsampled stage walks its tree over the training rows;
+        a full-row stage reuses the leaves its fit routed every row to."""
+        from repro.ml.tree import RegressionTree
+
+        X, y = friedman
+        walks = []
+        walk = RegressionTree.predict_binned
+
+        def counting(self, Xb):
+            walks.append(Xb.shape[0])
+            return walk(self, Xb)
+
+        monkeypatch.setattr(RegressionTree, "predict_binned", counting)
+        full = GBDTParams(n_estimators=6, max_depth=4)
+        _assert_same_fit(GBDTRegressor(full).fit(X, y), oracle.fit(full, X, y))
+        assert walks.count(X.shape[0]) == 6  # the oracle's walks only
+        walks.clear()
+        sub = GBDTParams(n_estimators=6, max_depth=4, subsample=0.5)
+        _assert_same_fit(GBDTRegressor(sub).fit(X, y), oracle.fit(sub, X, y))
+        assert walks.count(X.shape[0]) == 12
+
+
+class TestCheckpointCache:
+    """Checkpoints leave the histogram cache out; ``fit_more`` rebuilds
+    it, so a restored model keeps boosting byte-identically."""
+
+    @pytest.fixture
+    def model(self, friedman):
+        X, y = friedman
+        return GBDTRegressor(GBDTParams(n_estimators=10, max_depth=5)).fit(
+            X[:900], y[:900]
+        )
+
+    def test_cache_never_pickled(self, model):
+        assert model._hist_cache is not None
+        with keep_training_state():
+            state = pickle.loads(pickle.dumps(model)).__dict__
+            assert model.__getstate__()["_hist_cache"] is None
+        assert state["_hist_cache"] is None
+        assert state["_Xb_train"] is not None
+
+    def test_checkpoint_is_smaller_without_cache(self, model):
+        with keep_training_state():
+            lean = len(pickle.dumps(model))
+            state = model.__getstate__()
+        state["_hist_cache"] = model._hist_cache
+        fat = len(pickle.dumps(_LegacyPickle(state)))
+        assert fat - lean >= model._hist_cache.base.nbytes
+
+    def test_restored_fit_more_matches_uninterrupted(self, friedman, model):
+        X, y = friedman
+        with keep_training_state():
+            restored = pickle.loads(pickle.dumps(model))
+        assert restored._hist_cache is None
+        for X_new, y_new, k in ((X[900:1000], y[900:1000], 4),
+                                (X[:0], y[:0], 3),
+                                (X[1000:], y[1000:], 5)):
+            model.fit_more(X_new, y_new, k)
+            restored.fit_more(X_new, y_new, k)
+            _assert_same_fit(restored, model)
+        assert restored._hist_cache.base.tobytes() == model._hist_cache.base.tobytes()

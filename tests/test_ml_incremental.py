@@ -32,7 +32,17 @@ from repro.ml import (
     evaluate_forecaster,
     supports_update,
 )
+from oracles import gbdt as gbdt_oracle
 from repro.ml.gbdt import GBDTParams, GBDTRegressor
+
+#: the package's boosting loop and the reference loop, as (fit, fit_more)
+GBDT_LOOPS = {
+    "fast": (
+        lambda params, X, y: GBDTRegressor(params).fit(X, y),
+        lambda model, X, y, n_more: model.fit_more(X, y, n_more),
+    ),
+    "reference": (gbdt_oracle.fit, gbdt_oracle.fit_more),
+}
 
 
 def _series(n=900, period=24, noise=0.3, seed=1):
@@ -261,34 +271,31 @@ class TestGBDTIncremental:
         model.fit_more(np.zeros((0, 3)), np.zeros(0), n_more=5)
         assert len(model.trees_) == n_trees + 5
 
-    @pytest.mark.parametrize("mode", ["fast", "reference"])
-    def test_fit_more_rng_continuation_parity(self, mode):
+    @pytest.mark.parametrize("loop", ["fast", "reference"])
+    def test_fit_more_rng_continuation_parity(self, loop):
         """With subsample < 1 the boosting RNG must continue across
         fit_more: fit(K) + fit_more(0 rows, J) is bitwise one fit(K+J)."""
+        fit, fit_more = GBDT_LOOPS[loop]
         rng = np.random.default_rng(5)
         X = rng.normal(size=(400, 4))
         y = X[:, 0] + 0.5 * X[:, 1] ** 2 + 0.1 * rng.normal(size=400)
-        split = GBDTRegressor(
-            GBDTParams(n_estimators=12, subsample=0.7, random_state=9), mode=mode
-        ).fit(X, y)
-        split.fit_more(np.zeros((0, 4)), np.zeros(0), n_more=8)
-        joint = GBDTRegressor(
-            GBDTParams(n_estimators=20, subsample=0.7, random_state=9), mode=mode
-        ).fit(X, y)
+        split = fit(GBDTParams(n_estimators=12, subsample=0.7, random_state=9), X, y)
+        fit_more(split, np.zeros((0, 4)), np.zeros(0), 8)
+        joint = fit(GBDTParams(n_estimators=20, subsample=0.7, random_state=9), X, y)
         np.testing.assert_array_equal(split.predict(X), joint.predict(X))
         assert split.train_scores_ == joint.train_scores_
 
     def test_fit_more_fast_reference_parity(self):
         """Continuation with appended rows (cache append path) stays
-        byte-identical across modes."""
+        byte-identical to the reference loop."""
         rng = np.random.default_rng(6)
         X = rng.normal(size=(400, 4))
         y = X[:, 0] + 0.1 * rng.normal(size=400)
         p = GBDTParams(n_estimators=10, subsample=0.8, random_state=2)
-        fast = GBDTRegressor(p, mode="fast").fit(X[:300], y[:300])
-        ref = GBDTRegressor(p, mode="reference").fit(X[:300], y[:300])
+        fast = GBDTRegressor(p).fit(X[:300], y[:300])
+        ref = gbdt_oracle.fit(p, X[:300], y[:300])
         fast.fit_more(X[300:], y[300:], n_more=6)
-        ref.fit_more(X[300:], y[300:], n_more=6)
+        gbdt_oracle.fit_more(ref, X[300:], y[300:], 6)
         np.testing.assert_array_equal(fast.predict(X), ref.predict(X))
         assert fast.train_scores_ == ref.train_scores_
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import tree as oracle
 from repro.ml import Binner, RegressionTree, TreeParams
 from repro.ml.tree import HistogramCache
 
@@ -16,8 +17,9 @@ def _tree_arrays(tree):
 
 def _assert_same_tree(a, b):
     for x, y in zip(_tree_arrays(a), _tree_arrays(b)):
-        np.testing.assert_array_equal(x, y)
-    assert a.split_gains_ == b.split_gains_
+        assert x.dtype == y.dtype
+        assert x.tobytes() == y.tobytes()
+    assert list(a.split_gains_.items()) == list(b.split_gains_.items())
 
 
 class TestBinner:
@@ -109,7 +111,7 @@ class TestMissingValues:
         np.testing.assert_array_equal(b.transform(X), b.transform(X))
 
     def test_tree_fit_with_nan_column_parity(self):
-        """Split search threads the missing bin identically in both modes."""
+        """Split search threads the missing bin exactly like the oracle."""
         rng = np.random.default_rng(3)
         X = rng.normal(size=(300, 3))
         # Target depends on missingness so splits on the NaN bin pay off.
@@ -119,8 +121,8 @@ class TestMissingValues:
         b = Binner(max_bins=16).fit(X)
         Xb = b.transform(X)
         p = TreeParams(max_depth=4, min_samples_leaf=5)
-        ref = RegressionTree(p).fit(Xb, y, n_bins=b.n_bins, mode="reference")
-        fast = RegressionTree(p).fit(Xb, y, n_bins=b.n_bins, mode="fast")
+        ref = oracle.fit(p, Xb, y, n_bins=b.n_bins)
+        fast = RegressionTree(p).fit(Xb, y, n_bins=b.n_bins)
         _assert_same_tree(ref, fast)
         # The missingness signal is actually learnable: the tree must
         # separate the NaN rows (value near 5) from the rest.
@@ -129,14 +131,9 @@ class TestMissingValues:
 
 
 class TestFastReferenceParity:
-    """The fused fast split search is a byte-parity twin of the
-    per-feature reference loop — including gain tie-breaking."""
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            RegressionTree().fit(
-                np.zeros((4, 1), dtype=np.int32), np.zeros(4), mode="turbo"
-            )
+    """The one-pass split search is a byte-parity twin of the per-feature
+    reference loop (``tests/oracles/tree.py``) — including gain
+    tie-breaking."""
 
     def test_cache_shape_mismatch_rejected(self):
         Xb = np.zeros((4, 2), dtype=np.int32)
@@ -170,14 +167,15 @@ class TestFastReferenceParity:
             max_depth=int(rng.integers(2, 6)),
             min_samples_leaf=int(rng.integers(1, 8)),
         )
-        ref = RegressionTree(p).fit(Xb, y, n_bins=b.n_bins, mode="reference")
-        fast = RegressionTree(p).fit(Xb, y, n_bins=b.n_bins, mode="fast")
+        ref = oracle.fit(p, Xb, y, n_bins=b.n_bins)
+        fast = RegressionTree(p).fit(Xb, y, n_bins=b.n_bins)
         cached = RegressionTree(p).fit(
-            Xb, y, n_bins=b.n_bins, mode="fast",
-            cache=HistogramCache(Xb, b.n_bins),
+            Xb, y, n_bins=b.n_bins, cache=HistogramCache(Xb, b.n_bins),
         )
+        ragged = RegressionTree(p).fit(Xb, y, cache=HistogramCache(Xb, b.widths))
         _assert_same_tree(ref, fast)
         _assert_same_tree(ref, cached)
+        _assert_same_tree(ref, ragged)
 
     def test_parity_with_sample_indices(self):
         rng = np.random.default_rng(11)
@@ -187,14 +185,12 @@ class TestFastReferenceParity:
         Xb = b.transform(X)
         idx = rng.choice(200, size=120, replace=False)
         p = TreeParams(max_depth=4, min_samples_leaf=4)
-        cache = HistogramCache(Xb, b.n_bins)
-        ref = RegressionTree(p).fit(
-            Xb, y, sample_indices=idx, n_bins=b.n_bins, mode="reference"
-        )
-        fast = RegressionTree(p).fit(
-            Xb, y, sample_indices=idx, n_bins=b.n_bins, mode="fast", cache=cache
-        )
+        cache = HistogramCache(Xb, b.widths)
+        ref = oracle.fit(p, Xb, y, sample_indices=idx, n_bins=b.n_bins)
+        fast = RegressionTree(p).fit(Xb, y, sample_indices=idx, cache=cache)
+        uncached = RegressionTree(p).fit(Xb, y, sample_indices=idx)
         _assert_same_tree(ref, fast)
+        _assert_same_tree(ref, uncached)
 
     def test_cache_append_matches_fresh_cache(self):
         rng = np.random.default_rng(12)
@@ -204,6 +200,69 @@ class TestFastReferenceParity:
         grown.append(extra)
         fresh = HistogramCache(np.vstack([Xb, extra]), 8)
         np.testing.assert_array_equal(grown.base, fresh.base)
+
+
+class TestRaggedGrowerParity:
+    """The ragged one-pass grower against the per-feature oracle on
+    matrices whose features have very different bin counts."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(2, 160),
+        max_bins=st.sampled_from([2, 3, 5, 16, 64]),
+        depth=st.integers(1, 6),
+        min_samples_leaf=st.integers(1, 12),
+        pad=st.lists(st.integers(0, 3), min_size=7, max_size=7),
+        subsample=st.booleans(),
+    )
+    def test_mixed_widths_match_oracle(
+        self, seed, n, max_bins, depth, min_samples_leaf, pad, subsample
+    ):
+        rng = np.random.default_rng(seed)
+        coarse = np.round(rng.normal(size=n))
+        X = np.column_stack([
+            np.full(n, 3.0),                 # constant column
+            np.full(n, np.nan),              # all-NaN column: width 2
+            coarse,                          # coarse grid: repeated gains
+            coarse,                          # duplicate: cross-feature ties
+            rng.normal(size=n),
+            np.where(rng.random(n) < 0.3, np.nan, rng.normal(size=n)),
+            rng.integers(0, 3, n).astype(float),
+        ])
+        y = np.round(coarse + rng.normal(size=n), 1)
+        b = Binner(max_bins=max_bins).fit(X)
+        Xb = b.transform(X)
+        # Extra cells per feature make the duplicated columns tie at
+        # different widths; the lower feature must still win.
+        widths = b.widths + np.asarray(pad)
+        idx = (np.sort(rng.choice(n, size=max(1, n // 2), replace=False))
+               if subsample else None)
+        p = TreeParams(max_depth=depth, min_samples_leaf=min_samples_leaf)
+        ref = oracle.fit(p, Xb, y, sample_indices=idx, n_bins=int(widths.max()))
+        tree = RegressionTree(p)
+        leaf = tree.grow(Xb, y, sample_indices=idx, cache=HistogramCache(Xb, widths))
+        _assert_same_tree(ref, tree)
+        # The returned leaves are where a walk of the fitted rows lands.
+        fitted = Xb if idx is None else Xb[idx]
+        assert tree._tree.value[leaf].tobytes() == tree.predict_binned(fitted).tobytes()
+
+    def test_prune_threshold_is_two_min_samples_leaf(self):
+        """A node of exactly 2·min_samples_leaf rows can still split into
+        two minimal leaves; one row fewer and it stays a leaf."""
+        Xb = np.arange(8, dtype=np.int32).reshape(-1, 1)
+        y = np.array([0.0, 0, 0, 0, 1, 1, 1, 1])
+        p = TreeParams(max_depth=3, min_samples_leaf=4)
+        tree = RegressionTree(p).fit(Xb, y)
+        assert tree.n_leaves == 2
+        _assert_same_tree(oracle.fit(p, Xb, y), tree)
+        short = RegressionTree(p).fit(Xb[:7], y[:7])
+        assert short.n_leaves == 1
+        _assert_same_tree(oracle.fit(p, Xb[:7], y[:7]), short)
+
+    def test_cache_widths_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="widths"):
+            HistogramCache(np.zeros((3, 2), dtype=np.int32), [2, 0])
 
 
 class TestTreeParams:
