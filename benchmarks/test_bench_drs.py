@@ -3,7 +3,8 @@
 ``BENCH {json}`` lines (grep the suite output for ``BENCH``):
 
 * ``drs_sweep`` — a σ/ξ/window parameter grid stepped over a synthetic
-  month of demand through both engines; reports config×bin throughput
+  month of demand through the batch engine and the per-case stepwise
+  oracle (``tests/oracles/drs.py``); reports config×bin throughput
   each and the speedup.  The acceptance floor is a **5x** fast-vs-
   reference ratio (the struct-of-arrays walk typically lands ~10x),
   with byte-parity re-checked row by row on the same run.
@@ -20,6 +21,8 @@ import numpy as np
 import pytest
 
 from repro.energy import DRSCase, DRSParams, run_drs_batch
+
+from oracles import drs as drs_oracle
 
 _N_BINS = 4032          # four weeks of 10-minute bins
 _TOTAL_NODES = 120
@@ -76,7 +79,7 @@ def sweep_cases():
 def test_sweep_throughput_floor(sweep_cases, capsys):
     """Fast grid engine >= 5x the stepwise oracle on the same sweep."""
     t0 = time.perf_counter()
-    ref = run_drs_batch(sweep_cases, mode="reference")
+    ref = drs_oracle.run_drs_batch(sweep_cases)
     ref_wall = time.perf_counter() - t0
 
     t0 = time.perf_counter()

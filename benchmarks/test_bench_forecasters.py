@@ -4,7 +4,8 @@ Each test prints ``BENCH {json}`` lines forming the cross-PR trajectory
 (grep the suite output for ``BENCH``):
 
 * ``forecaster_fold`` — per-model rolling-origin evaluation on a
-  synthetic seasonal series, scratch re-fits vs the ``update()`` path,
+  synthetic seasonal series, scratch re-fits (``tests/oracles/rolling.py``)
+  vs the ``update()`` path,
   with the score drift between the two (the warm band the incremental
   engine promises);
 * ``gbdt_fit_fast_vs_reference`` — one GBDT fit through the package's
@@ -25,6 +26,7 @@ import numpy as np
 import pytest
 
 from oracles import gbdt as gbdt_oracle
+from oracles import rolling
 from repro.energy import GBDTSeriesForecaster
 from repro.energy.forecaster import ForecastFeatures
 from repro.ml import (
@@ -74,10 +76,10 @@ def series():
 def test_fold_cost_cold_vs_warm(name, series, capsys):
     factory = MODELS[name]
     t0 = time.perf_counter()
-    cold_score = evaluate_forecaster(factory, series, mode="scratch", **EVAL)
+    cold_score = rolling.evaluate(factory, series, **EVAL)
     cold_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    warm_score = evaluate_forecaster(factory, series, mode="auto", **EVAL)
+    warm_score = evaluate_forecaster(factory, series, **EVAL)
     warm_s = time.perf_counter() - t0
 
     # correctness guard rails alongside the timing trajectory: the warm

@@ -3,7 +3,8 @@
 ``BENCH {json}`` lines (grep the suite output for ``BENCH``):
 
 * ``sim_replay`` — a synthetic ~50k-job multi-VC trace replayed under
-  FIFO and the preemptive SRTF baseline through both engines; reports
+  FIFO and the preemptive SRTF baseline through the simulator and the
+  per-job reference loop (``tests/oracles/sim.py``); reports
   events/s each and the speedup.  The acceptance floor is a **3x**
   fast-vs-reference throughput ratio (the array-backed core typically
   lands 5-10x), asserted per policy, with byte-parity re-checked on the
@@ -24,6 +25,8 @@ from repro.frame import Table
 from repro.sched import FIFOScheduler, SRTFScheduler
 from repro.sim import Simulator
 from repro.traces import ClusterSpec, VCSpec
+
+from oracles import sim as sim_oracle
 
 _N_JOBS = 50_000
 _N_VCS = 4
@@ -82,7 +85,7 @@ def trace():
 def test_replay_throughput_floor(spec, trace, sched_cls, capsys):
     """Fast engine >= 3x the reference on the same synthetic workload."""
     t0 = time.perf_counter()
-    ref = Simulator(spec, sched_cls(), mode="reference").run(trace)
+    ref = sim_oracle.run(Simulator(spec, sched_cls()), trace)
     ref_wall = time.perf_counter() - t0
 
     t0 = time.perf_counter()

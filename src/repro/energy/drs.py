@@ -58,12 +58,16 @@ class DRSParams:
             raise ValueError("buffer_nodes must be >= 0")
         if self.recent_window_bins < 1:
             raise ValueError("recent_window_bins must be >= 1")
+        if self.bin_seconds <= 0:
+            raise ValueError("bin_seconds must be positive")
 
     @classmethod
     def scaled(cls, total_nodes: int, bin_seconds: int = 600) -> "DRSParams":
         """Size-proportional knobs: σ ≈ 4% of nodes, ξ ≈ 0.6%."""
         if total_nodes < 1:
             raise ValueError("total_nodes must be >= 1")
+        if bin_seconds <= 0:
+            raise ValueError("bin_seconds must be positive")
         return cls(
             buffer_nodes=max(1, int(round(0.04 * total_nodes))),
             recent_window_bins=max(1, int(round(3_600 / bin_seconds))),
@@ -237,12 +241,13 @@ def run_drs(
     fc = np.asarray(predicted_future, dtype=float)
     if d.shape != fc.shape:
         raise ValueError("demand and predicted_future must align")
-    arr = (
-        np.zeros_like(d)
-        if arrivals_per_bin is None
-        else np.asarray(arrivals_per_bin, dtype=float)
-    )
     controller = DRSController(total_nodes, p)
+    if arrivals_per_bin is None:
+        arr = np.zeros_like(d)
+    else:
+        arr = np.asarray(arrivals_per_bin, dtype=float)
+        if arr.shape != d.shape:
+            raise ValueError("arrivals_per_bin must align with demand")
     for t in range(d.size):
         controller.step(d[t], fc[t], arr[t])
     return controller.outcome()

@@ -3,8 +3,8 @@
 The stepwise :class:`~repro.energy.drs.DRSController` walks one
 (parameterization, cluster) pair bin by bin in Python — perfect for the
 serving loop, but a σ/ξ/window sweep pays the interpreter once per
-config per bin.  This module is the sweep's array-backed twin, built on
-the same fast/reference pattern as :mod:`repro.sim.fast`:
+config per bin.  This module is the sweep's array-backed twin, built like
+:mod:`repro.sim.fast`:
 
 * every controller run in a batch becomes one *row* of
   struct-of-arrays state — per-row ``cur`` active pool, wake/woken/
@@ -17,12 +17,13 @@ the same fast/reference pattern as :mod:`repro.sim.fast`:
   rows of the active-history matrix (the matrix *is* the ring buffer —
   per-row windows index ``t - W`` directly).
 
-``mode="reference"`` drives the stepwise controller per case and is the
-correctness oracle: the fast path must produce **byte-identical**
-:class:`~repro.energy.drs.DRSOutcome` fields for every row (asserted by
-``tests/test_drs_grid_parity.py`` on real cluster windows and by the
-hypothesis suite on random series).  All arithmetic is plain IEEE-754
-float64 element-wise work, so equality is exact, not approximate.
+The correctness oracle is a per-case loop over the stepwise
+:func:`~repro.energy.drs.run_drs` (``tests/oracles/drs.py``): the batch
+must produce **byte-identical** :class:`~repro.energy.drs.DRSOutcome`
+fields for every row (asserted by ``tests/test_drs_grid_parity.py`` on
+real cluster windows and by the hypothesis suite on random series).
+All arithmetic is plain IEEE-754 float64 element-wise work, so
+equality is exact, not approximate.
 
 Rows may have different series lengths (Helios and Philly evaluation
 windows differ); shorter rows are padded with zero demand.  A padded
@@ -38,11 +39,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .drs import DRSOutcome, DRSParams, _reactive_params, run_drs
+from .drs import DRSOutcome, DRSParams, _reactive_params
 
 __all__ = ["DRSCase", "run_drs_batch", "run_drs_grid", "run_vanilla_drs_batch"]
-
-_MODES = ("fast", "reference")
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,6 @@ def run_drs_grid(
     total_nodes: int,
     grid: Sequence[DRSParams],
     arrivals_per_bin: np.ndarray | None = None,
-    mode: str = "fast",
 ) -> list[DRSOutcome]:
     """Sweep K parameterizations over one cluster's evaluation window.
 
@@ -73,14 +71,11 @@ def run_drs_grid(
         [
             DRSCase(demand, predicted_future, total_nodes, p, arrivals_per_bin)
             for p in grid
-        ],
-        mode=mode,
+        ]
     )
 
 
-def run_vanilla_drs_batch(
-    cases: Sequence[DRSCase], mode: str = "fast"
-) -> list[DRSOutcome]:
+def run_vanilla_drs_batch(cases: Sequence[DRSCase]) -> list[DRSOutcome]:
     """Reactive-baseline variant of :func:`run_drs_batch`.
 
     Each case is rewritten the way :func:`~repro.energy.drs.run_vanilla_drs`
@@ -97,24 +92,21 @@ def run_vanilla_drs_batch(
                 c.arrivals_per_bin,
             )
             for c in cases
-        ],
-        mode=mode,
+        ]
     )
 
 
-def run_drs_batch(cases: Sequence[DRSCase], mode: str = "fast") -> list[DRSOutcome]:
+def run_drs_batch(cases: Sequence[DRSCase]) -> list[DRSOutcome]:
     """Run every case's Algorithm-2 walk, batched across rows.
 
-    ``mode="fast"`` steps all rows simultaneously over struct-of-arrays
-    state; ``mode="reference"`` loops the stepwise controller (the
-    oracle).  Outputs are byte-identical between the two.
+    All rows step simultaneously over struct-of-arrays state; each
+    outcome is byte-identical to :func:`~repro.energy.drs.run_drs` on
+    that case alone.
     """
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     cases = list(cases)
 
-    # Validate every case up front, identically for both modes — the
-    # oracle and the fast path must accept and reject the same inputs.
+    # Validate every case up front with run_drs's checks, in its order:
+    # the batch and the per-case oracle reject the same inputs.
     demands = []
     forecasts = []
     arrival_rows: list[np.ndarray | None] = []
@@ -134,17 +126,6 @@ def run_drs_batch(cases: Sequence[DRSCase], mode: str = "fast") -> list[DRSOutco
         forecasts.append(fc)
         arrival_rows.append(arr)
 
-    if mode == "reference":
-        return [
-            run_drs(
-                demands[r],
-                forecasts[r],
-                c.total_nodes,
-                c.params,
-                arrivals_per_bin=arrival_rows[r],
-            )
-            for r, c in enumerate(cases)
-        ]
     if not cases:
         return []
 

@@ -124,7 +124,6 @@ def exp_ablation_forecaster(hour_bins: bool = True) -> dict:
         initial=initial,
         horizon=horizon,
         step=horizon * 2,
-        mode="auto",
         jobs=0,
     )
     table = Table.from_rows(

@@ -14,11 +14,13 @@ Two refresh paths exist since the incremental-evaluation protocol:
 * **incremental** — ``service.apply_update(history_builder(new
   observations))``: drives the forecasters' ``update()``/``extend()``
   protocol so a long-running serving loop advances its models in O(new
-  data) instead of O(all data).  Only taken when the service declares
-  ``supports_incremental`` and already has a fitted model.
+  data) instead of O(all data).
 
-``mode="auto"`` (the default) picks incremental whenever it is valid and
-falls back to scratch otherwise; ``mode="scratch"`` forces full refits.
+Each refit takes incremental whenever the service declares
+``supports_incremental`` (read at every refit) and already has a fitted
+model, and scratch otherwise.  A service forces scratch refits by
+declaring ``supports_incremental`` False; the QSSF degradation ladder
+does exactly that (``QSSFService.refit_mode = "scratch"``).
 
 A third path exists for multi-host serving: **delegated**.  With
 ``engine.delegated = True`` a due refit does not train locally — the
@@ -44,8 +46,6 @@ from .parallel import map_threaded
 from .service import PredictionService
 
 __all__ = ["ModelUpdateEngine", "UpdatePolicy"]
-
-_MODES = ("auto", "scratch", "incremental")
 
 
 @dataclass(frozen=True)
@@ -89,11 +89,8 @@ class _ServiceState:
 class ModelUpdateEngine:
     """Drives periodic model refreshes for any number of services."""
 
-    def __init__(self, policy: UpdatePolicy | None = None, mode: str = "auto") -> None:
-        if mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+    def __init__(self, policy: UpdatePolicy | None = None) -> None:
         self.policy = policy or UpdatePolicy()
-        self.mode = mode
         self._services: dict[str, _ServiceState] = {}
         #: when True, due refits for replicable services queue sync
         #: requests instead of training locally (multi-host replication)
@@ -178,29 +175,23 @@ class ModelUpdateEngine:
         if due_time or due_size:
             self.refit(name, now)
 
-    def refit(self, name: str, now: float, mode: str | None = None) -> str | None:
+    def refit(self, name: str, now: float) -> str | None:
         """Refresh the named service on the observations gathered so far.
 
-        Returns the path taken (``"scratch"`` / ``"incremental"``) or
-        ``None`` when there was nothing new to consume.
+        Returns the path taken (``"scratch"`` / ``"incremental"``, or
+        ``"delegated"`` when a central trainer fits it) or ``None`` when
+        there was nothing new to consume.
         """
-        mode = mode or self.mode
-        if mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
         state = self._state(name)
         if not state.pending:
             state.last_refit_time = now
             return None
-        incremental = (
-            mode in ("auto", "incremental")
-            and state.service.supports_incremental
-            and state.fitted
-        )
+        incremental = state.service.supports_incremental and state.fitted
         if self.delegated and getattr(state.service, "replicable", True):
             # Delegated: cut the pending buffer into a versioned delta
             # and queue it for the central trainer.  Bookkeeping counters
             # advance exactly as a local refit would (the central trainer
-            # replays the same mode decision), but no model work happens
+            # makes the same path decision), but no model work happens
             # here — the snapshot comes back via install_snapshot().
             deltas = list(state.pending)
             state.pending.clear()
@@ -214,7 +205,6 @@ class ModelUpdateEngine:
                 "version": state.sync_version,
                 "deltas": deltas,
                 "now": now,
-                "mode": mode,
             })
             return "delegated"
         # builders get copies: the pending buffer is cleared below and the
@@ -275,7 +265,7 @@ class ModelUpdateEngine:
     def sync_requests(self) -> list[dict]:
         """Outstanding sync requests, oldest first (a copy).
 
-        Every entry is ``{service, version, deltas, now, mode}``.  The
+        Every entry is ``{service, version, deltas, now}``.  The
         caller ships them to the central trainer; entries persist until
         :meth:`install_snapshot` consumes their version, so transports
         may send a request more than once (the trainer is idempotent).

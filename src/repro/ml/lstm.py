@@ -17,16 +17,15 @@ standardization is frozen — and fine-tunes for a short
 ``update_epochs`` budget, which is what makes rolling-origin
 re-evaluation cheap.
 
-Like the GBDT (``ml/gbdt.py``) and the simulator (``sim/fast.py``) the
-fit path has two modes.  ``mode="reference"`` fine-tunes with the
-scratch per-window schedule: ``update_epochs`` shuffled minibatch epochs
-over *every* window of the grown series.  ``mode="fast"`` (default)
-fold-batches instead: only the windows whose target is a newly appended
-point are built, stacked into one batch, and driven through
+The fine-tune is fold-batched: only the windows whose target is a newly
+appended point are built, stacked into one batch, and driven through
 ``update_epochs`` full-batch Adam steps — one forward/backward pair per
-step, no RNG draws.  The two disagree only within the tolerance band the
-rolling-origin tests pin (the GBDT modes, by contrast, are
-byte-identical); ``fit`` is the same minibatch schedule in both modes.
+step, no RNG draws.  Its oracle, kept next to the tests
+(``tests/oracles/lstm.py``), is the scratch per-window schedule:
+``update_epochs`` shuffled minibatch epochs over *every* window of the
+grown series.  The two disagree only within the tolerance band the
+rolling-origin tests pin (the GBDT and its oracle, by contrast, are
+byte-identical); ``fit`` is the same minibatch schedule in both.
 """
 
 from __future__ import annotations
@@ -36,8 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["LSTMParams", "LSTMForecaster"]
-
-_FIT_MODES = ("fast", "reference")
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -67,13 +64,8 @@ class LSTMParams:
 class LSTMForecaster:
     """Sequence-to-one LSTM: window of past values -> next value."""
 
-    def __init__(
-        self, params: LSTMParams | None = None, *, mode: str = "fast"
-    ) -> None:
-        if mode not in _FIT_MODES:
-            raise ValueError(f"mode must be one of {_FIT_MODES}, got {mode!r}")
+    def __init__(self, params: LSTMParams | None = None) -> None:
         self.params = params or LSTMParams()
-        self.mode = mode
         self._weights: dict[str, np.ndarray] | None = None
         self._mu: float = 0.0
         self._sd: float = 1.0
@@ -221,7 +213,7 @@ class LSTMForecaster:
         """Fold-batched fine-tune: one stacked batch of the windows whose
         target is one of the ``n_new`` appended points, driven through
         ``update_epochs`` full-batch Adam steps.  Consumes no RNG draws,
-        so interleaving updates never perturbs a later reference fit."""
+        so interleaving updates never perturbs a later shuffled epoch."""
         p = self.params
         z = (self._history - self._mu) / self._sd
         t_idx = np.arange(max(p.window, z.size - n_new), z.size)
@@ -260,12 +252,9 @@ class LSTMForecaster:
 
         Weights and Adam moments continue from the previous fit; the
         standardization constants stay frozen so the network keeps
-        seeing inputs on the scale it was trained on.  In ``"fast"``
-        mode the fine-tune is fold-batched (one stacked batch of the
-        new-target windows, ``update_epochs`` full-batch Adam steps);
-        in ``"reference"`` mode it runs ``update_epochs`` shuffled
-        minibatch epochs over *all* windows of the grown series, with
-        the shuffling RNG carried forward.
+        seeing inputs on the scale it was trained on.  The fine-tune is
+        fold-batched: one stacked batch of the new-target windows,
+        ``update_epochs`` full-batch Adam steps.
         """
         if self._weights is None or self._history is None:
             raise RuntimeError("model not fitted; call fit() before update()")
@@ -275,10 +264,7 @@ class LSTMForecaster:
         if new_points.size == 0:
             return self
         self._history = np.concatenate([self._history, new_points])
-        if self.mode == "fast":
-            self._train_tail(new_points.size)
-        else:
-            self._train(self.params.update_epochs)
+        self._train_tail(new_points.size)
         return self
 
     def forecast(self, horizon: int) -> np.ndarray:

@@ -9,15 +9,16 @@ engine: expanding-window folds differ only by the ``step`` points between
 consecutive origins, so a model exposing the incremental-fit protocol —
 an ``update(new_points)`` method next to ``fit``/``forecast`` — is fitted
 once and advanced fold to fold in O(step) work instead of being re-fitted
-from scratch O(n) at every origin.  Scratch re-fitting remains both the
-fallback for models without ``update`` and the correctness oracle the
-tolerance tests compare against (``mode="scratch"``).
+from scratch O(n) at every origin.  Scratch re-fitting remains the
+fallback for models without ``update``; it is also the correctness
+oracle the tolerance tests compare against, which runs this same walk
+over a proxy that hides ``update`` (``tests/oracles/rolling.py``).
 
 The fold walk composes with the models' own fast fit paths: the GBDT
-continues boosting on its frozen histogram cache and the LSTM (in its
-default ``mode="fast"``) turns each fold's ``update(new_points)`` into
-one fold-batched BPTT batch — so an entire rolling-origin walk drives a
-single batched fine-tune per fold rather than window-by-window tapes.
+continues boosting on its frozen histogram cache and the LSTM turns
+each fold's ``update(new_points)`` into one fold-batched BPTT batch —
+so an entire rolling-origin walk drives a single batched fine-tune per
+fold rather than window-by-window tapes.
 
 :func:`compare_forecasters` additionally fans independent models out over
 the framework's forked worker pool (``jobs``); results are identical to
@@ -70,10 +71,14 @@ def rolling_origin_splits(
     """Yield ``(train_slice, test_slice)`` pairs walking forward in time.
 
     Train is always the full history up to the origin (expanding window).
+    The origin advances ``step`` points per fold (``None``: ``horizon``).
     """
     if initial < 1 or horizon < 1:
         raise ValueError("initial and horizon must be >= 1")
-    step = step or horizon
+    if step is None:
+        step = horizon
+    elif step < 1:
+        raise ValueError("step must be >= 1")
     origin = initial
     while origin + horizon <= n:
         yield slice(0, origin), slice(origin, origin + horizon)
@@ -92,32 +97,20 @@ def evaluate_forecaster(
     horizon: int,
     step: int | None = None,
     metric: Callable[[np.ndarray, np.ndarray], float] = smape,
-    mode: str = "auto",
 ) -> float:
     """Mean rolling-origin forecast error of a fit/forecast model.
 
-    ``mode`` selects how the expanding window advances between folds:
-
-    * ``"auto"`` (default) — use the model's ``update(new_points)`` when
-      it implements the incremental protocol, else re-fit from scratch;
-    * ``"incremental"`` — require ``update`` (raises otherwise);
-    * ``"scratch"`` — always re-fit from scratch (the correctness
-      oracle; this is the pre-incremental behavior, bit for bit).
+    The expanding window advances between folds through the model's
+    ``update(new_points)`` when it implements the incremental protocol;
+    otherwise every fold re-fits a fresh model from scratch.
     """
-    if mode not in ("auto", "incremental", "scratch"):
-        raise ValueError(f"unknown mode {mode!r}")
     series = np.asarray(series, dtype=float)
     folds = list(rolling_origin_splits(series.size, initial, horizon, step))
     if not folds:
         raise ValueError("no evaluation folds; series too short for initial+horizon")
 
     model = make_model()
-    incremental = mode != "scratch" and supports_update(model)
-    if mode == "incremental" and not incremental:
-        raise TypeError(
-            f"{type(model).__name__} does not implement update(); "
-            "use mode='auto' or 'scratch'"
-        )
+    incremental = supports_update(model)
 
     errors = []
     fitted_upto = 0
@@ -150,7 +143,6 @@ def _compare_task(name: str) -> tuple[str, float]:
         ctx["initial"],
         ctx["horizon"],
         ctx["step"],
-        mode=ctx["mode"],
     )
 
 
@@ -160,7 +152,6 @@ def compare_forecasters(
     initial: int,
     horizon: int,
     step: int | None = None,
-    mode: str = "auto",
     jobs: int = 1,
 ) -> dict[str, float]:
     """Rolling-origin SMAPE for each named model factory (§4.3.2 table).
@@ -182,7 +173,6 @@ def compare_forecasters(
         "initial": initial,
         "horizon": horizon,
         "step": step,
-        "mode": mode,
     }
     try:
         scored = dict(run_forked(_compare_task, list(models), jobs))

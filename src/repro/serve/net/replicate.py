@@ -100,8 +100,7 @@ class ModelUpdateHub:
         return server
 
     def sync(self, task: ShardTask, name: str, version: int,
-             deltas: list, now: float, mode: str | None = None,
-             ) -> tuple[bytes, bool]:
+             deltas: list, now: float) -> tuple[bytes, bool]:
         """Train (or fetch) the snapshot for one sync version.
 
         Returns ``(blob, fresh)`` — ``fresh`` False when the version was
@@ -125,7 +124,7 @@ class ModelUpdateHub:
             )
         engine = server.engine
         engine.ingest(name, list(deltas))
-        engine.refit(name, float(now), mode=mode)
+        engine.refit(name, float(now))
         blob = engine.snapshot_blob(name)
         rec["applied"] = version
         rec["blobs"][version] = blob

@@ -541,8 +541,7 @@ class Router:
         name = msg["service"]
         version = int(msg["version"])
         blob, fresh = self.hub.sync(
-            task, name, version, msg["deltas"], float(msg["now"]),
-            msg.get("mode"),
+            task, name, version, msg["deltas"], float(msg["now"])
         )
         if fresh:
             self.stats.model_syncs += 1
@@ -776,7 +775,7 @@ class Router:
             req = requests[0]
             blob, fresh = self.hub.sync(
                 task, req["service"], int(req["version"]),
-                req["deltas"], float(req["now"]), req.get("mode"),
+                req["deltas"], float(req["now"]),
             )
             if fresh:
                 self.stats.model_syncs += 1

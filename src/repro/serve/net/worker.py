@@ -228,7 +228,6 @@ def worker_main(sock, name: str, plan: FaultPlan | None = None) -> None:
                     "version": req["version"],
                     "deltas": req["deltas"],
                     "now": req["now"],
-                    "mode": req["mode"],
                 })
         # Acks coalesce per drain round: one cumulative ack per shard
         # covers every batch served this round (the cursor is what the

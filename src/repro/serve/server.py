@@ -99,9 +99,6 @@ class ServeConfig:
 
     lam: float = 0.5
     qssf_gbdt: GBDTParams | None = None
-    #: "incremental" (default): QSSF serving refits continue boosting on
-    #: the new jobs only; "scratch": full-history refit (the oracle).
-    qssf_refit_mode: str = "incremental"
     horizon_bins: int = 18
     bin_seconds: int = 600
     ces_features: ForecastFeatures | None = None
@@ -111,7 +108,6 @@ class ServeConfig:
     batch_window_s: float = 60.0
     predict_durations: bool = False
     online_updates: bool = True
-    refit_mode: str = "auto"
     update_interval_s: float = 7 * 86_400.0
     update_max_buffered: int = 50_000
     decide_jobs: int = 1
@@ -375,8 +371,7 @@ class PredictionServer:
             UpdatePolicy(
                 interval_seconds=self.config.update_interval_s,
                 max_buffered=self.config.update_max_buffered,
-            ),
-            mode=self.config.refit_mode,
+            )
         )
         self._qssf_history: Table | None = None
         self._ces_series: _GrowingSeries | None = None
@@ -393,19 +388,15 @@ class PredictionServer:
     def install_qssf(self, history: Table) -> QSSFService:
         """Fit QSSF on ``history`` and register it for serving.
 
-        With ``qssf_refit_mode="incremental"`` (default) engine
-        refreshes continue boosting the fitted GBDT on the newly
-        finished jobs; in ``"scratch"`` mode (the oracle) each refresh
-        rebuilds the model on ``history`` + every finished job observed
-        since, so a long-running server never forgets its training
-        window either way.
+        Engine refreshes continue boosting the fitted GBDT on the newly
+        finished jobs.  With the service's ``refit_mode`` set to
+        ``"scratch"`` (the oracle, and degradation rung 1) each refresh
+        instead rebuilds the model on ``history`` + every finished job
+        observed since, so a long-running server never forgets its
+        training window either way.
         """
         cfg = self.config
-        service = QSSFService(
-            lam=cfg.lam,
-            gbdt_params=cfg.qssf_gbdt,
-            refit_mode=cfg.qssf_refit_mode,
-        ).fit(history)
+        service = QSSFService(lam=cfg.lam, gbdt_params=cfg.qssf_gbdt).fit(history)
         self._qssf_history = history
         self.engine.register(
             service,

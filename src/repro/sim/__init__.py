@@ -1,8 +1,6 @@
 """Discrete-event cluster simulator substrate."""
 
-from .cluster import Allocation, ClusterState, VCState
-from .engine import ReplayResult, SimJob, Simulator, normalize_node_events
-from .placement import can_place, consolidate_place
+from .engine import ReplayResult, Simulator, normalize_node_events
 from .telemetry import (
     busy_gpus_series,
     node_busy_intervals,
@@ -11,15 +9,9 @@ from .telemetry import (
 )
 
 __all__ = [
-    "Allocation",
-    "ClusterState",
     "ReplayResult",
-    "SimJob",
     "Simulator",
-    "VCState",
     "busy_gpus_series",
-    "can_place",
-    "consolidate_place",
     "node_busy_intervals",
     "normalize_node_events",
     "running_nodes_series",

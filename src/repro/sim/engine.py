@@ -15,21 +15,17 @@ Event loop invariants:
 * finishes are processed before arrivals at the same instant so freed
   resources are visible immediately.
 
-Two engines implement those semantics:
-
-* ``mode="fast"`` (default) — the array-backed core in
-  :mod:`repro.sim.fast`: struct-of-arrays job state, integer-interned
-  VCs, counter-gated O(1) admission, a finish-only event heap, and
-  preallocated telemetry buffers.
-* ``mode="reference"`` — the original per-job object loop below, kept
-  as the correctness oracle.  The fast path must produce byte-identical
-  :class:`ReplayResult` payloads (the parity suite asserts this on all
-  Helios clusters plus Philly, preemptive SRTF included).
+The engine is the array-backed core in :mod:`repro.sim.fast`:
+struct-of-arrays job state, integer-interned VCs, counter-gated O(1)
+admission, a finish-only event heap, and preallocated telemetry
+buffers.  Its correctness oracle, the original per-job object loop,
+lives next to the tests (``tests/oracles/sim.py``); the parity suite
+asserts byte-identical :class:`ReplayResult` payloads on all Helios
+clusters plus Philly, preemptive SRTF included.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass, replace
 
@@ -38,32 +34,22 @@ import numpy as np
 from ..frame import Table
 from ..obs import collect as obs
 from ..traces.cluster import ClusterSpec
-from .cluster import Allocation, ClusterState
 from .fast import replay_fast
-from .placement import consolidate_place
 
-__all__ = ["SimJob", "ReplayResult", "Simulator", "normalize_node_events"]
-
-#: same-instant processing order: finishes free resources first, node
-#: health changes next, arrivals see the settled state.
-_FINISH = 0
-_NODE_EVENT = 1
-_ARRIVAL = 2
-
-_MODES = ("fast", "reference")
+__all__ = ["ReplayResult", "Simulator", "normalize_node_events"]
 
 
 def normalize_node_events(spec: ClusterSpec, node_events) -> list[tuple[float, int, int, int]]:
     """Validate and order node down/up events against ``spec``.
 
     ``node_events`` is a Table-like with columns ``time`` / ``node``
-    (global node id in the :class:`ClusterState` numbering) / ``up``
-    (0 = down, 1 = up).  Returns ``(time, vc_index, local_node, up)``
-    tuples in stable time order.  Both engines consume this one
-    normalized form, so an invalid schedule (unknown node, non-finite
-    time, broken per-node down/up alternation) raises the *identical*
-    error in fast and reference modes — the property the parity fuzz
-    asserts.
+    (global node id: the VCs' nodes numbered consecutively in spec
+    order) / ``up`` (0 = down, 1 = up).  Returns ``(time, vc_index,
+    local_node, up)`` tuples in stable time order.  The engine and its
+    test-side oracle consume this one normalized form, so an invalid
+    schedule (unknown node, non-finite time, broken per-node down/up
+    alternation) raises the *identical* error in both — the property
+    the parity fuzz asserts.
     """
     if node_events is None or len(node_events) == 0:
         return []
@@ -103,31 +89,6 @@ def normalize_node_events(spec: ClusterSpec, node_events) -> list[tuple[float, i
         vck = int(np.searchsorted(bounds, node, side="right") - 1)
         out.append((float(times[i]), vck, node - int(bounds[vck]), up))
     return out
-
-
-@dataclass
-class SimJob:
-    """Mutable per-job simulation record (reference engine only)."""
-
-    __slots__ = (
-        "idx", "vc", "gpu_num", "submit", "duration", "remaining",
-        "priority", "start", "end", "run_started", "alloc", "epoch",
-        "preemptions",
-    )
-
-    idx: int
-    vc: str
-    gpu_num: int
-    submit: float
-    duration: float
-    remaining: float
-    priority: float
-    start: float
-    end: float
-    run_started: float
-    alloc: Allocation | None
-    epoch: int
-    preemptions: int
 
 
 @dataclass
@@ -190,9 +151,6 @@ class Simulator:
         (one value per job, lower runs first) and a ``preemptive`` flag.
     collect_node_intervals:
         Record per-node busy segments (needed by telemetry/CES).
-    mode:
-        ``"fast"`` (default) runs the array-backed core;
-        ``"reference"`` runs the original per-job loop (the oracle).
     """
 
     def __init__(
@@ -200,14 +158,10 @@ class Simulator:
         spec: ClusterSpec,
         scheduler,
         collect_node_intervals: bool = True,
-        mode: str = "fast",
     ) -> None:
-        if mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
         self.spec = spec
         self.scheduler = scheduler
         self.collect_node_intervals = collect_node_intervals
-        self.mode = mode
 
     # ------------------------------------------------------------------
     def run(self, trace: Table, node_events=None) -> ReplayResult:
@@ -227,7 +181,7 @@ class Simulator:
         self._publish_obs(node_events, result, time.perf_counter() - t0)
         obs.record_span(
             "sim.replay", t0_wall, obs.wall_now(),
-            mode=self.mode, cluster=self.spec.name, jobs=len(trace),
+            cluster=self.spec.name, jobs=len(trace),
         )
         return result
 
@@ -245,8 +199,7 @@ class Simulator:
             obs.counter_add("sim.node_up", int((ups == 1).sum()))
             obs.counter_add("sim.node_down", int((ups == 0).sum()))
         if wall > 0:
-            obs.gauge_set(f"sim.events_per_s.{self.mode}",
-                          round(sim_events / wall, 1))
+            obs.gauge_set("sim.events_per_s", round(sim_events / wall, 1))
         # Queueing delays reach days, not milliseconds: span 1 ms – 1e6 s.
         obs.histogram("sim.queue_delay_s", lo=1e-3, decades=9).record_many(
             result.queue_delays
@@ -270,16 +223,7 @@ class Simulator:
             )
 
     def _run(self, trace: Table, node_events=None) -> ReplayResult:
-        if len(trace) and int(trace["gpu_num"].min()) < 1:
-            raise ValueError("simulator replays GPU jobs; filter CPU jobs out first")
-        self._check_capacity(trace)
-        events = normalize_node_events(self.spec, node_events)
-        priorities = np.asarray(self.scheduler.priorities(trace), dtype=float)
-        if priorities.shape != (len(trace),):
-            raise ValueError("scheduler.priorities must return one value per job")
-        preemptive = getattr(self.scheduler, "preemptive", False)
-        if self.mode == "reference":
-            return self._run_reference(trace, priorities, preemptive, events)
+        priorities, preemptive, events = self._prepare(trace, node_events)
         start, end, preempt, itable, num_nodes, total_gpus = replay_fast(
             self.spec, trace, priorities, preemptive,
             self.collect_node_intervals, node_events=events,
@@ -294,146 +238,17 @@ class Simulator:
             total_gpus,
         )
 
-    # ------------------------------------------------------------------
-    def _run_reference(
-        self,
-        trace: Table,
-        priorities: np.ndarray,
-        preemptive: bool,
-        node_events: list[tuple[float, int, int, int]] | None = None,
-    ) -> ReplayResult:
-        state = ClusterState(self.spec)
-        jobs = self._build_jobs(trace, priorities)
-        n = len(jobs)
-        node_events = node_events or []
-
-        heap: list[tuple[float, int, int, int, int]] = [
-            (j.submit, _ARRIVAL, i, j.idx, 0) for i, j in enumerate(jobs)
-        ]
-        # Node events ride the same heap; the idx slot indexes node_events.
-        heap.extend(
-            (t, _NODE_EVENT, i, i, 0) for i, (t, _, _, _) in enumerate(node_events)
-        )
-        heapq.heapify(heap)
-        seq = n
-
-        queues: dict[str, list[tuple[float, int, int]]] = {
-            vc.name: [] for vc in self.spec.vcs
-        }
-        running: dict[str, dict[int, SimJob]] = {vc.name: {} for vc in self.spec.vcs}
-        intervals: list[tuple[np.ndarray, float, float, np.ndarray]] = []
-        collect = self.collect_node_intervals
-
-        def start_job(job: SimJob, now: float) -> None:
-            nonlocal seq
-            placed = consolidate_place(state.vc(job.vc), job.gpu_num)
-            assert placed is not None
-            nodes, gpus = placed
-            job.alloc = state.vc(job.vc).take(nodes, gpus)
-            if job.start < 0:
-                job.start = now
-            job.run_started = now
-            job.end = now + job.remaining
-            job.epoch += 1
-            running[job.vc][job.idx] = job
-            heapq.heappush(heap, (job.end, _FINISH, seq, job.idx, job.epoch))
-            seq += 1
-
-        def release_job(job: SimJob, now: float) -> None:
-            """Free the job's GPUs and log the executed segment."""
-            alloc = job.alloc
-            assert alloc is not None
-            state.vc(job.vc).release(alloc)
-            if collect and now > job.run_started:
-                intervals.append((alloc.node_ids, job.run_started, now, alloc.gpus))
-            del running[job.vc][job.idx]
-            job.alloc = None
-
-        def try_preempt(job: SimJob, now: float) -> bool:
-            """SRTF: evict longest-remaining running jobs to fit ``job``."""
-            vc_state = state.vc(job.vc)
-            victims = sorted(
-                (v for v in running[job.vc].values() if (v.end - now) > job.remaining),
-                key=lambda v: v.end - now,
-                reverse=True,
-            )
-            needed = job.gpu_num - vc_state.free_gpus
-            freed = 0
-            chosen: list[SimJob] = []
-            for v in victims:
-                if freed >= needed:
-                    break
-                chosen.append(v)
-                freed += v.alloc.total_gpus if v.alloc else 0
-            if freed < needed:
-                return False
-            nonlocal qseq
-            for v in chosen:
-                v.remaining = max(v.end - now, 0.0)
-                v.epoch += 1  # invalidate the in-flight finish event
-                release_job(v, now)
-                v.preemptions += 1
-                heapq.heappush(queues[job.vc], (v.remaining, qseq, v.idx))
-                qseq += 1
-            return True
-
-        def drain_vc(vc_name: str, now: float) -> None:
-            """Head-of-line scheduling for one VC queue."""
-            q = queues[vc_name]
-            vc_state = state.vc(vc_name)
-            while q:
-                _, _, jidx = q[0]
-                job = jobs[jidx]
-                if consolidate_place(vc_state, job.gpu_num) is None:
-                    if not (preemptive and try_preempt(job, now)):
-                        break
-                    if consolidate_place(vc_state, job.gpu_num) is None:
-                        break  # fragmentation: freed GPUs not consolidatable
-                heapq.heappop(q)
-                start_job(job, now)
-
-        qseq = 0
-        while heap:
-            now, kind, _, jidx, epoch = heapq.heappop(heap)
-            if kind == _NODE_EVENT:
-                _, vck, local, up = node_events[jidx]
-                vc_name = self.spec.vcs[vck].name
-                if up:
-                    state.vc(vc_name).restore_node(local)
-                    drain_vc(vc_name, now)
-                else:
-                    state.vc(vc_name).fail_node(local)
-                continue
-            job = jobs[jidx]
-            if kind == _FINISH:
-                if epoch != job.epoch or job.alloc is None:
-                    continue  # stale event from a preempted run
-                job.remaining = 0.0
-                release_job(job, now)
-                drain_vc(job.vc, now)
-            else:  # arrival
-                heapq.heappush(queues[job.vc], (job.priority, qseq, jidx))
-                qseq += 1
-                drain_vc(job.vc, now)
-
-        if intervals:
-            node_ids = np.concatenate([iv[0] for iv in intervals])
-            starts = np.concatenate([np.full(len(iv[0]), iv[1]) for iv in intervals])
-            ends = np.concatenate([np.full(len(iv[0]), iv[2]) for iv in intervals])
-            gpus = np.concatenate([iv[3] for iv in intervals])
-        else:
-            node_ids = np.empty(0, dtype=np.int64)
-            starts = ends = np.empty(0)
-            gpus = np.empty(0, dtype=np.int64)
-        return self._result(
-            trace,
-            np.array([j.start for j in jobs]),
-            np.array([j.end for j in jobs]),
-            np.array([j.preemptions for j in jobs], dtype=np.int64),
-            Table({"node": node_ids, "start": starts, "end": ends, "gpus": gpus}),
-            state.num_nodes,
-            state.total_gpus,
-        )
+    def _prepare(self, trace: Table, node_events=None):
+        """Validate a replay's inputs; returns ``(priorities, preemptive,
+        normalized node events)``."""
+        if len(trace) and int(trace["gpu_num"].min()) < 1:
+            raise ValueError("simulator replays GPU jobs; filter CPU jobs out first")
+        self._check_capacity(trace)
+        events = normalize_node_events(self.spec, node_events)
+        priorities = np.asarray(self.scheduler.priorities(trace), dtype=float)
+        if priorities.shape != (len(trace),):
+            raise ValueError("scheduler.priorities must return one value per job")
+        return priorities, getattr(self.scheduler, "preemptive", False), events
 
     # ------------------------------------------------------------------
     def _check_capacity(self, trace: Table) -> None:
@@ -451,21 +266,6 @@ class Simulator:
                 raise ValueError(
                     f"job demands {demand} GPUs but VC {name} has {caps[name]}"
                 )
-
-    def _build_jobs(self, trace: Table, priorities: np.ndarray) -> list[SimJob]:
-        submit = trace["submit_time"].astype(float)
-        duration = trace["duration"].astype(float)
-        gpus = trace["gpu_num"].astype(int)
-        vcs = trace["vc"]
-        return [
-            SimJob(
-                idx=i, vc=str(vcs[i]), gpu_num=int(gpus[i]), submit=float(submit[i]),
-                duration=float(duration[i]), remaining=float(duration[i]),
-                priority=float(priorities[i]), start=-1.0, end=np.nan,
-                run_started=np.nan, alloc=None, epoch=0, preemptions=0,
-            )
-            for i in range(len(trace))
-        ]
 
     def _result(
         self, trace, start, end, preemptions, node_intervals, num_nodes, total_gpus

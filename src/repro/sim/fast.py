@@ -1,8 +1,9 @@
-"""Array-backed replay core (the ``mode="fast"`` engine).
+"""Array-backed replay core: the engine behind :class:`repro.sim.Simulator`.
 
-Same discrete-event semantics as the reference loop in
-:mod:`repro.sim.engine` — byte-identical :class:`ReplayResult` payloads,
-asserted by the parity suite — but organised for throughput:
+Same discrete-event semantics as the per-job reference loop kept next
+to the tests (``tests/oracles/sim.py``) — byte-identical
+:class:`ReplayResult` payloads, asserted by the parity suite — but
+organised for throughput:
 
 * **Struct-of-arrays job state.**  ``submit / duration / remaining /
   priority / start / end / run_started / epoch / preemptions`` live in
@@ -25,8 +26,8 @@ asserted by the parity suite — but organised for throughput:
   into grow-by-doubling flat arrays instead of a list of tuples that is
   re-concatenated at the end.
 
-The reference loop remains the correctness oracle; keep the two in
-lockstep when touching event semantics.
+Keep this core and the reference loop in lockstep when touching event
+semantics.
 """
 
 from __future__ import annotations
@@ -164,8 +165,9 @@ def replay_fast(
     def place(k: int, need: int):
         """Counter-gated consolidated placement.
 
-        Inlines :func:`repro.sim.placement.best_fit_level` plus the node
-        index scans — one semantics, two copies kept in lockstep by the
+        The reference loop's ``best_fit_level`` and ``consolidate_place``
+        (``tests/oracles/placement.py``) inlined, node index scans
+        included — one semantics, two copies kept in lockstep by the
         parity suite (calling out per attempt is what this loop avoids).
         """
         g = gpn[k]

@@ -1,5 +1,9 @@
 """Runtime cluster state: per-VC node-level GPU accounting.
 
+The object ledger of the per-job reference replay loop
+(:mod:`oracles.sim`); the array-backed simulator keeps the same
+counters in flat per-VC lists (:mod:`repro.sim.fast`).
+
 Helios VCs are hard partitions — nodes belong to exactly one VC and jobs
 never cross VCs (§2.1) — so each :class:`VCState` owns a disjoint slice
 of globally-indexed nodes.  GPU allocation is exclusive (no sharing) and
@@ -12,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..traces.cluster import ClusterSpec
+from repro.traces.cluster import ClusterSpec
 
 __all__ = ["Allocation", "VCState", "ClusterState"]
 

@@ -5,10 +5,11 @@ as few nodes as possible to minimize communication overhead.  A 16-GPU
 job on 8-GPU nodes must wait for two fully-idle nodes; a 4-GPU job takes
 the best-fitting partially-free node.
 
-Admission is gated on the VC's maintained free-level counters
-(:attr:`~repro.sim.cluster.VCState.level_counts`): whether a placement
-exists — and at which free level the best-fit remainder lands — is an
-O(gpus_per_node) counter lookup, so a *failed* attempt (the common case
+These are the placement rules of the per-job reference replay loop
+(:mod:`oracles.sim`).  Admission is gated on the VC's maintained
+free-level counters (:attr:`oracles.cluster.VCState.level_counts`):
+whether a placement exists — and at which free level the best-fit
+remainder lands — is an O(gpus_per_node) counter lookup, so a *failed* attempt (the common case
 for a blocked head-of-line queue) never scans the per-node ``free``
 array.  Only a successful placement pays the O(nodes) index scan.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cluster import VCState
+from oracles.cluster import VCState
 
 __all__ = ["consolidate_place", "best_fit_level", "can_place"]
 

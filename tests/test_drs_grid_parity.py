@@ -1,4 +1,4 @@
-"""Batched-DRS parity suite: ``mode="fast"`` vs the stepwise oracle.
+"""Batched-DRS parity suite: the batch engine vs the stepwise oracle.
 
 The array-backed grid engine (:mod:`repro.energy.fast_drs`) must
 produce **byte-identical** :class:`~repro.energy.drs.DRSOutcome` fields
@@ -11,6 +11,9 @@ core.  Two layers:
 * the real scenario: the σ/ξ/window sweep grid on evaluation-window
   prefixes of all four Helios clusters plus Philly, demand taken from
   actual replay telemetry.
+
+The oracle walks each case with the stepwise controller
+(``tests/oracles/drs.py``).
 """
 
 import numpy as np
@@ -26,6 +29,8 @@ from repro.energy import (
     run_vanilla_drs_batch,
 )
 from repro.experiments.energy_exp import sweep_param_grid
+
+from oracles import drs as drs_oracle
 
 
 def assert_outcomes_identical(fast, ref):
@@ -64,7 +69,7 @@ class TestFuzzParity:
         rng = np.random.default_rng(seed)
         cases = [_random_case(rng) for _ in range(int(rng.integers(1, 12)))]
         fast = run_drs_batch(cases)
-        ref = run_drs_batch(cases, mode="reference")
+        ref = drs_oracle.run_drs_batch(cases)
         for f, r in zip(fast, ref):
             assert_outcomes_identical(f, r)
         # the reactive rewrite must match the public single-run baseline
@@ -94,13 +99,9 @@ class TestFuzzParity:
     def test_single_empty_series(self):
         case = DRSCase(np.empty(0), np.empty(0), 10, DRSParams())
         (fast,) = run_drs_batch([case])
-        (ref,) = run_drs_batch([case], mode="reference")
+        (ref,) = drs_oracle.run_drs_batch([case])
         assert_outcomes_identical(fast, ref)
         assert fast.active.size == 0
-
-    def test_mode_validation(self):
-        with pytest.raises(ValueError, match="mode must be one of"):
-            run_drs_batch([], mode="turbo")
 
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="must align"):
@@ -111,6 +112,29 @@ class TestFuzzParity:
             run_drs_batch(
                 [DRSCase(np.zeros(5), np.zeros(5), 10, DRSParams(), np.zeros(3))]
             )
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            DRSCase(np.zeros(5), np.zeros(4), 10, DRSParams()),
+            DRSCase(np.zeros(5), np.zeros(5), 0, DRSParams()),
+            DRSCase(np.zeros(5), np.zeros(5), 10, DRSParams(), np.zeros(3)),
+            DRSCase(np.zeros(5), np.zeros(5), 10, DRSParams(), np.zeros(8)),
+            # several faults at once: the first check in order wins
+            DRSCase(np.zeros(5), np.zeros(5), 0, DRSParams(), np.zeros(8)),
+        ],
+        ids=["forecast", "total_nodes", "arrivals-short", "arrivals-long",
+             "total_nodes-first"],
+    )
+    def test_oracle_rejects_what_the_batch_rejects(self, bad):
+        # unchecked, run_drs truncates longer arrivals silently and fails
+        # with IndexError mid-walk on shorter ones
+        good = DRSCase(np.ones(5), np.ones(5), 10, DRSParams())
+        with pytest.raises(ValueError) as fast_exc:
+            run_drs_batch([good, bad])
+        with pytest.raises(ValueError) as ref_exc:
+            drs_oracle.run_drs_batch([good, bad])
+        assert str(fast_exc.value) == str(ref_exc.value)
 
 
 @pytest.mark.slow  # full-horizon replays feed the real demand series
@@ -140,7 +164,7 @@ class TestClusterParity:
         demand = running_nodes_series(replay, grid)  # 1-week eval prefix
         cases = self._real_case_rows(demand, replay.num_nodes)
         for f, r in zip(
-            run_drs_batch(cases), run_drs_batch(cases, mode="reference")
+            run_drs_batch(cases), drs_oracle.run_drs_batch(cases)
         ):
             assert_outcomes_identical(f, r)
 
@@ -156,7 +180,7 @@ class TestClusterParity:
         demand = running_nodes_series(replay, grid)
         cases = self._real_case_rows(demand, replay.num_nodes)
         for f, r in zip(
-            run_drs_batch(cases), run_drs_batch(cases, mode="reference")
+            run_drs_batch(cases), drs_oracle.run_drs_batch(cases)
         ):
             assert_outcomes_identical(f, r)
 
@@ -174,6 +198,6 @@ class TestClusterParity:
             demand = running_nodes_series(replay, grid)
             cases.extend(self._real_case_rows(demand, replay.num_nodes)[:6])
         for f, r in zip(
-            run_drs_batch(cases), run_drs_batch(cases, mode="reference")
+            run_drs_batch(cases), drs_oracle.run_drs_batch(cases)
         ):
             assert_outcomes_identical(f, r)

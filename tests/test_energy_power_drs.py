@@ -60,6 +60,16 @@ class TestDRSParams:
         with pytest.raises(ValueError):
             DRSParams.scaled(0)
 
+    @pytest.mark.parametrize("bin_seconds", [0, -600])
+    def test_non_positive_bin_rejected(self, bin_seconds):
+        # unchecked, a zero bin runs the whole walk and then divides by
+        # zero in outcome(); a negative one yields a meaningless
+        # daily_wake_ups
+        with pytest.raises(ValueError, match="bin_seconds"):
+            DRSParams(bin_seconds=bin_seconds)
+        with pytest.raises(ValueError, match="bin_seconds"):
+            DRSParams.scaled(100, bin_seconds=bin_seconds)
+
 
 def _sawtooth_demand(n=720, total=100):
     """Daily sawtooth: rises to ~80, falls to ~40 (144 bins/day)."""

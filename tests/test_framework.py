@@ -155,7 +155,8 @@ class TestIncrementalRefit:
         assert eng.refit("incr", now=2.0) == "incremental"
         assert svc.update_calls == [["a"]]  # delta only, no base history
         eng.observe("incr", "b", now=3.0)
-        assert eng.refit("incr", now=4.0, mode="scratch") == "scratch"
+        svc.supports_incremental = False  # the scratch-refit oracle
+        assert eng.refit("incr", now=4.0) == "scratch"
         assert svc.last_history == ["h1", "h2", "a", "b"]  # scratch: full
 
     def test_prefitted_service_goes_incremental_immediately(self):
@@ -167,8 +168,11 @@ class TestIncrementalRefit:
         assert svc.fit_calls == 0 and svc.update_calls == [["a"]]
 
     def test_scratch_mode_forces_full_refit(self):
-        eng = ModelUpdateEngine(mode="scratch")
+        """A service that declares no incremental support (the scratch
+        oracle) always gets full refits."""
+        eng = ModelUpdateEngine()
         svc = IncrementalService()
+        svc.supports_incremental = False
         eng.register(svc, list, prefitted=True)
         eng.observe("incr", "a", now=1.0)
         assert eng.refit("incr", now=2.0) == "scratch"
@@ -179,14 +183,21 @@ class TestIncrementalRefit:
         assert svc.update_calls == []
 
     def test_per_call_mode_override(self):
-        eng = ModelUpdateEngine(mode="auto")
+        """The path is decided per refit from the service's current
+        flag, so flipping it mid-run (as the QSSF ladder does) takes
+        effect on the very next refit."""
+        eng = ModelUpdateEngine()
         svc = IncrementalService()
         eng.register(svc, list, prefitted=True)
         eng.observe("incr", "a", now=1.0)
-        assert eng.refit("incr", now=2.0, mode="scratch") == "scratch"
+        assert eng.refit("incr", now=2.0) == "incremental"
+        svc.supports_incremental = False
+        eng.observe("incr", "b", now=3.0)
+        assert eng.refit("incr", now=4.0) == "scratch"
+        assert svc.last_history == ["a", "b"]
 
     def test_unsupported_service_falls_back_to_scratch(self):
-        eng = ModelUpdateEngine(mode="incremental")
+        eng = ModelUpdateEngine()
         svc = CountingService()
         eng.register(svc, list, prefitted=True)
         eng.observe("counter", "a", now=1.0)
@@ -196,14 +207,6 @@ class TestIncrementalRefit:
     def test_default_apply_update_raises(self):
         with pytest.raises(NotImplementedError):
             CountingService().apply_update(["x"])
-
-    def test_mode_validation(self):
-        with pytest.raises(ValueError, match="mode"):
-            ModelUpdateEngine(mode="bogus")
-        eng = ModelUpdateEngine()
-        eng.register(CountingService(), list)
-        with pytest.raises(ValueError, match="mode"):
-            eng.refit("counter", 0.0, mode="bogus")
 
     def test_refit_clears_pending_only(self):
         eng = ModelUpdateEngine(UpdatePolicy(interval_seconds=1e9, max_buffered=2))

@@ -176,6 +176,19 @@ class TestModelSelection:
         first_train, first_test = splits[0]
         assert first_train == slice(0, 60)
         assert first_test == slice(60, 70)
+        stepped = rolling_origin_splits(100, initial=60, horizon=10, step=15)
+        assert [test.start for _, test in stepped] == [60, 75, 90]
+
+    @pytest.mark.parametrize("step", [0, -1])
+    def test_rolling_origin_rejects_non_positive_step(self, step):
+        # unchecked, a negative step walks the origin backwards forever
+        # (and evaluate_forecaster list()s the walk)
+        with pytest.raises(ValueError, match="step"):
+            list(rolling_origin_splits(10, 5, 2, step))
+        with pytest.raises(ValueError, match="step"):
+            evaluate_forecaster(
+                lambda: FourierForecaster(periods=(24,)), np.ones(10), 5, 2, step
+            )
 
     def test_evaluate_forecaster(self):
         y = _seasonal_series(n=300, noise=0.05)

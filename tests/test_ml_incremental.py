@@ -12,6 +12,9 @@ Three layers of guarantees, from hard to soft:
   so scores are only required to stay in a tight band around the scratch
   (correctness-oracle) evaluation.
 
+The scratch walk is ``tests/oracles/rolling.py``: the package's fold
+walk over a proxy that hides ``update``.
+
 Plus: the fold-parallel comparison must return results identical to the
 serial path for any worker count.
 """
@@ -33,6 +36,8 @@ from repro.ml import (
     supports_update,
 )
 from oracles import gbdt as gbdt_oracle
+from oracles import lstm as lstm_oracle
+from oracles import rolling
 from repro.ml.gbdt import GBDTParams, GBDTRegressor
 
 #: the package's boosting loop and the reference loop, as (fit, fit_more)
@@ -86,9 +91,7 @@ class TestARIMAIncremental:
         SMAPE must match the scratch oracle to the last bit."""
         y = _series()
         f = lambda: ARIMAForecaster(p=24, d=0)
-        assert evaluate_forecaster(f, y, mode="auto", **EVAL) == evaluate_forecaster(
-            f, y, mode="scratch", **EVAL
-        )
+        assert evaluate_forecaster(f, y, **EVAL) == rolling.evaluate(f, y, **EVAL)
 
     def test_update_validation(self):
         with pytest.raises(RuntimeError):
@@ -116,8 +119,8 @@ class TestHoltWintersIncremental:
         the warm path keeps the initial fold's — scores stay close."""
         y = _series()
         f = lambda: HoltWintersForecaster(season_length=24)
-        cold = evaluate_forecaster(f, y, mode="scratch", **EVAL)
-        warm = evaluate_forecaster(f, y, mode="auto", **EVAL)
+        cold = rolling.evaluate(f, y, **EVAL)
+        warm = evaluate_forecaster(f, y, **EVAL)
         assert abs(warm - cold) <= max(0.15 * cold, 0.5)
 
     def test_update_before_fit_raises(self):
@@ -137,8 +140,8 @@ class TestFourierIncremental:
     def test_warm_rolling_smape_matches_scratch(self):
         y = _series()
         f = lambda: FourierForecaster(periods=(24,))
-        cold = evaluate_forecaster(f, y, mode="scratch", **EVAL)
-        warm = evaluate_forecaster(f, y, mode="auto", **EVAL)
+        cold = rolling.evaluate(f, y, **EVAL)
+        warm = evaluate_forecaster(f, y, **EVAL)
         assert warm == pytest.approx(cold, rel=1e-6)
 
     def test_update_before_fit_raises(self):
@@ -170,8 +173,8 @@ class TestLSTMIncremental:
         f = lambda: LSTMForecaster(
             LSTMParams(window=24, hidden=8, epochs=5, update_epochs=2)
         )
-        cold = evaluate_forecaster(f, y, mode="scratch", **EVAL)
-        warm = evaluate_forecaster(f, y, mode="auto", **EVAL)
+        cold = rolling.evaluate(f, y, **EVAL)
+        warm = evaluate_forecaster(f, y, **EVAL)
         # Warm-start continues training (typically scoring a bit better);
         # it must stay in a tight band around the scratch oracle.
         assert abs(warm - cold) / cold < 0.30
@@ -187,21 +190,15 @@ class TestLSTMIncremental:
         with pytest.raises(RuntimeError):
             LSTMForecaster().update(np.arange(10.0))
 
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            LSTMForecaster(mode="turbo")
-
     def test_fast_update_within_band_of_reference(self):
         """Fold-batched fast updates vs the scratch per-window reference
         schedule: the two fine-tunes are different algorithms, so scores
         agree within the rolling-origin tolerance band only."""
         y = _series()
         p = LSTMParams(window=24, hidden=8, epochs=5, update_epochs=2)
-        fast = evaluate_forecaster(
-            lambda: LSTMForecaster(p, mode="fast"), y, mode="auto", **EVAL
-        )
+        fast = evaluate_forecaster(lambda: LSTMForecaster(p), y, **EVAL)
         ref = evaluate_forecaster(
-            lambda: LSTMForecaster(p, mode="reference"), y, mode="auto", **EVAL
+            lambda: lstm_oracle.LSTMForecaster(p), y, **EVAL
         )
         assert abs(fast - ref) / ref < 0.30
 
@@ -210,7 +207,7 @@ class TestLSTMIncremental:
         must be untouched so later reference epochs are unperturbed."""
         y = _series(n=300)
         p = LSTMParams(window=12, hidden=8, epochs=2, update_epochs=2)
-        model = LSTMForecaster(p, mode="fast").fit(y[:250])
+        model = LSTMForecaster(p).fit(y[:250])
         before = model._rng.bit_generator.state
         model.update(y[250:])
         assert model._rng.bit_generator.state == before
@@ -220,7 +217,7 @@ class TestLSTMIncremental:
         targeting appended points."""
         y = _series(n=300)
         p = LSTMParams(window=12, hidden=8, epochs=2, update_epochs=3)
-        model = LSTMForecaster(p, mode="fast").fit(y[:250])
+        model = LSTMForecaster(p).fit(y[:250])
         n_loss = len(model.loss_curve_)
         model.update(y[250:])
         assert len(model.loss_curve_) == n_loss + p.update_epochs
@@ -230,8 +227,8 @@ class TestLSTMIncremental:
         the new level (the batched gradient actually applies)."""
         y = _series(n=400)
         p = LSTMParams(window=24, hidden=8, epochs=5, update_epochs=10)
-        stale = LSTMForecaster(p, mode="fast").fit(y[:340])
-        tuned = LSTMForecaster(p, mode="fast").fit(y[:340])
+        stale = LSTMForecaster(p).fit(y[:340])
+        tuned = LSTMForecaster(p).fit(y[:340])
         tuned.update(y[340:] + 4.0)
         # compare against the same model continuing without the shift
         stale.update(y[340:])
@@ -312,8 +309,8 @@ class TestGBDTIncremental:
     def test_series_forecaster_warm_within_band(self):
         y = _series()
         f = lambda: GBDTSeriesForecaster(features=SMALL_FEATURES)
-        cold = evaluate_forecaster(f, y, mode="scratch", **EVAL)
-        warm = evaluate_forecaster(f, y, mode="auto", **EVAL)
+        cold = rolling.evaluate(f, y, **EVAL)
+        warm = evaluate_forecaster(f, y, **EVAL)
         assert abs(warm - cold) / cold < 0.30
 
     def test_series_update_before_fit_raises(self):
@@ -368,21 +365,14 @@ class TestEngineModes:
         assert supports_update(ARIMAForecaster(p=2))
         assert not supports_update(_NoUpdateModel())
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown mode"):
-            evaluate_forecaster(_NoUpdateModel, _series(200), 100, 10, mode="warp")
-
-    def test_incremental_mode_requires_update(self):
-        with pytest.raises(TypeError, match="does not implement update"):
-            evaluate_forecaster(
-                _NoUpdateModel, _series(200), 100, 10, mode="incremental"
-            )
-
     def test_auto_falls_back_to_scratch(self):
         y = _series(200)
-        auto = evaluate_forecaster(_NoUpdateModel, y, 100, 10, mode="auto")
-        cold = evaluate_forecaster(_NoUpdateModel, y, 100, 10, mode="scratch")
+        auto = evaluate_forecaster(_NoUpdateModel, y, 100, 10)
+        cold = rolling.evaluate(_NoUpdateModel, y, 100, 10)
         assert auto == cold
+
+    def test_scratch_oracle_hides_update(self):
+        assert not supports_update(rolling.scratch(ARIMAForecaster)())
 
 
 class TestCompareParallel:
@@ -400,9 +390,15 @@ class TestCompareParallel:
         assert list(serial) == list(self.MODELS)  # input order preserved
 
     def test_scratch_mode_passthrough(self):
+        """Scratch-walk factories go through the forked pool unchanged."""
         y = _series(n=500)
-        warm = compare_forecasters(self.MODELS, y, 300, 24, jobs=2, mode="auto")
-        cold = compare_forecasters(self.MODELS, y, 300, 24, jobs=2, mode="scratch")
+        warm = compare_forecasters(self.MODELS, y, 300, 24, jobs=2)
+        cold = compare_forecasters(
+            {name: rolling.scratch(f) for name, f in self.MODELS.items()},
+            y, 300, 24, jobs=2,
+        )
+        for name, f in self.MODELS.items():
+            assert cold[name] == rolling.evaluate(f, y, 300, 24)
         # these three comparators are exact/near-exact incrementally
         for name in self.MODELS:
             assert warm[name] == pytest.approx(cold[name], rel=0.15)

@@ -261,14 +261,14 @@ class TestOnlineUpdates:
             online_updates=True,
             update_interval_s=4 * 3_600.0,
             ces_update_every=1_000_000,
-            qssf_refit_mode="scratch",
         )
         series = _demand_series(360)
         window = make_trace(
             [(i * 800, 1 + (i % 4), 120.0, f"vc{i % 2}") for i in range(40)]
         )
         server = PredictionServer(cfg)
-        server.install_qssf(_qssf_history())
+        # the scratch-refit oracle, set the way degradation rung 1 sets it
+        server.install_qssf(_qssf_history()).refit_mode = "scratch"
         server.install_ces(series[:300], 64)
         stream = EventStream.from_trace(
             window, "T", t0=0.0, t1=60 * 600.0, bin_seconds=600,

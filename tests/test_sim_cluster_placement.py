@@ -1,9 +1,15 @@
-"""Tests for cluster state accounting and consolidated placement."""
+"""Tests for the reference replay loop's cluster ledger and placement.
+
+:mod:`oracles.cluster` and :mod:`oracles.placement` back the per-job
+oracle the simulator's parity suite compares against, so their
+accounting is pinned here on its own.
+"""
 
 import numpy as np
 import pytest
 
-from repro.sim import ClusterState, VCState, can_place, consolidate_place
+from oracles.cluster import ClusterState, VCState
+from oracles.placement import can_place, consolidate_place
 from repro.traces import ClusterSpec, VCSpec
 
 

@@ -7,6 +7,7 @@ from repro.sched import FIFOScheduler, SJFScheduler, SRTFScheduler
 from repro.sim import Simulator
 
 from helpers import make_spec, make_trace
+from oracles import sim as sim_oracle
 
 
 class TestBasics:
@@ -58,36 +59,46 @@ class TestBasics:
         validate_trace(rt, replayed=True)
 
 
-#: both engines run the full policy matrix — same semantics contract
-ENGINE_MODES = ("fast", "reference")
+#: the simulator and its per-job reference loop run the full policy
+#: matrix — same semantics contract
+ENGINES = ("fast", "reference")
 
 
-@pytest.mark.parametrize("mode", ENGINE_MODES)
+def _replay(engine, spec, scheduler, trace):
+    sim = Simulator(spec, scheduler)
+    return sim.run(trace) if engine == "fast" else sim_oracle.run(sim, trace)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
 class TestPolicies:
-    def test_fifo_order(self, mode):
+    def test_fifo_order(self, engine):
         # One node; three jobs contend: FIFO runs in submit order.
-        res = Simulator(make_spec(nodes=1), FIFOScheduler(), mode=mode).run(
-            make_trace([(0, 8, 100), (1, 8, 10), (2, 8, 1)])
+        res = _replay(
+            engine, make_spec(nodes=1), FIFOScheduler(),
+            make_trace([(0, 8, 100), (1, 8, 10), (2, 8, 1)]),
         )
         assert res.start_times.tolist() == [0.0, 100.0, 110.0]
 
-    def test_sjf_reorders(self, mode):
-        res = Simulator(make_spec(nodes=1), SJFScheduler(), mode=mode).run(
-            make_trace([(0, 8, 100), (1, 8, 10), (2, 8, 1)])
+    def test_sjf_reorders(self, engine):
+        res = _replay(
+            engine, make_spec(nodes=1), SJFScheduler(),
+            make_trace([(0, 8, 100), (1, 8, 10), (2, 8, 1)]),
         )
         # After the head job, the 1s job jumps the 10s job.
         assert res.start_times.tolist() == [0.0, 101.0, 100.0]
 
-    def test_sjf_no_preemption(self, mode):
-        res = Simulator(make_spec(nodes=1), SJFScheduler(), mode=mode).run(
-            make_trace([(0, 8, 1000), (1, 8, 1)])
+    def test_sjf_no_preemption(self, engine):
+        res = _replay(
+            engine, make_spec(nodes=1), SJFScheduler(),
+            make_trace([(0, 8, 1000), (1, 8, 1)]),
         )
         assert res.start_times[1] == 1000.0  # waits despite being shorter
         assert res.preemptions.sum() == 0
 
-    def test_srtf_preempts(self, mode):
-        res = Simulator(make_spec(nodes=1), SRTFScheduler(), mode=mode).run(
-            make_trace([(0, 8, 1000), (10, 8, 10)])
+    def test_srtf_preempts(self, engine):
+        res = _replay(
+            engine, make_spec(nodes=1), SRTFScheduler(),
+            make_trace([(0, 8, 1000), (10, 8, 10)]),
         )
         # Short job preempts the long one at t=10 and runs immediately.
         assert res.start_times[1] == 10.0
@@ -96,38 +107,42 @@ class TestPolicies:
         # 10s executed + 990s remaining after resume at t=20.
         assert res.end_times[0] == pytest.approx(1010.0)
 
-    def test_srtf_does_not_preempt_shorter(self, mode):
-        res = Simulator(make_spec(nodes=1), SRTFScheduler(), mode=mode).run(
-            make_trace([(0, 8, 10), (1, 8, 1000)])
+    def test_srtf_does_not_preempt_shorter(self, engine):
+        res = _replay(
+            engine, make_spec(nodes=1), SRTFScheduler(),
+            make_trace([(0, 8, 10), (1, 8, 1000)]),
         )
         assert res.start_times[0] == 0.0
         assert res.preemptions.sum() == 0
         assert res.start_times[1] == 10.0
 
-    def test_head_of_line_blocking_no_backfill(self, mode):
+    def test_head_of_line_blocking_no_backfill(self, engine):
         """A big job at the head blocks later small jobs (no backfill)."""
-        res = Simulator(make_spec(nodes=2), FIFOScheduler(), mode=mode).run(
-            make_trace([(0, 8, 100), (1, 16, 50), (2, 1, 5)])
+        res = _replay(
+            engine, make_spec(nodes=2), FIFOScheduler(),
+            make_trace([(0, 8, 100), (1, 16, 50), (2, 1, 5)]),
         )
         # 16-GPU job waits for both nodes; the 1-GPU job waits behind it
         # even though a node is free.
         assert res.start_times[1] == 100.0
         assert res.start_times[2] == 150.0
 
-    def test_vcs_are_independent(self, mode):
-        res = Simulator(make_spec(nodes=1, vcs=2), FIFOScheduler(), mode=mode).run(
-            make_trace([(0, 8, 100, "vc0"), (1, 8, 50, "vc1"), (2, 8, 10, "vc0")])
+    def test_vcs_are_independent(self, engine):
+        res = _replay(
+            engine, make_spec(nodes=1, vcs=2), FIFOScheduler(),
+            make_trace([(0, 8, 100, "vc0"), (1, 8, 50, "vc1"), (2, 8, 10, "vc0")]),
         )
         # vc1's job is unaffected by vc0's backlog.
         assert res.start_times[1] == 1.0
         assert res.start_times[2] == 100.0
 
-    def test_same_timestamp_burst_admitted_in_priority_event_order(self, mode):
+    def test_same_timestamp_burst_admitted_in_priority_event_order(self, engine):
         """A burst of same-instant arrivals is admitted per event order:
         an earlier-submitted job that fits starts even if a later
         same-instant arrival has better priority."""
-        res = Simulator(make_spec(nodes=1), SJFScheduler(), mode=mode).run(
-            make_trace([(0, 8, 100), (0, 8, 1), (0, 8, 10)])
+        res = _replay(
+            engine, make_spec(nodes=1), SJFScheduler(),
+            make_trace([(0, 8, 100), (0, 8, 1), (0, 8, 10)]),
         )
         # job 0 is admitted on arrival (cluster idle); the rest queue and
         # run shortest-first.

@@ -1,4 +1,4 @@
-"""Fast-engine parity suite: ``mode="fast"`` vs ``mode="reference"``.
+"""Simulator parity suite: the array-backed engine vs the per-job oracle.
 
 The array-backed engine must produce **byte-identical**
 :class:`~repro.sim.engine.ReplayResult` payloads — per-job timings,
@@ -9,6 +9,8 @@ trace and policy.  Two layers:
   same-timestamp arrival bursts, preemption on and off);
 * the real scenario: the evaluation-month replay of all four Helios
   clusters plus a Philly window, FIFO and the preemptive SRTF baseline.
+
+The oracle is the reference loop in ``tests/oracles/sim.py``.
 """
 
 import numpy as np
@@ -19,6 +21,7 @@ from repro.sched import FIFOScheduler, SJFScheduler, SRTFScheduler
 from repro.sim import Simulator, normalize_node_events
 
 from helpers import make_spec, make_trace
+from oracles import sim as sim_oracle
 
 
 def assert_replays_identical(fast, ref):
@@ -62,7 +65,7 @@ class TestFuzzParity:
         trace = _random_trace(rng, n_vcs)
         for sched in (FIFOScheduler(), SJFScheduler(), SRTFScheduler()):
             try:
-                ref = Simulator(spec, sched, mode="reference").run(trace)
+                ref = sim_oracle.run(Simulator(spec, sched), trace)
             except (ValueError, RuntimeError) as exc:
                 # infeasible workload: the fast path must reject it with
                 # the identical error
@@ -76,22 +79,17 @@ class TestFuzzParity:
     def test_no_telemetry_mode(self):
         trace = _random_trace(np.random.default_rng(99), 2)
         spec = make_spec(nodes=3, vcs=2)
-        for mode in ("fast", "reference"):
-            res = Simulator(
-                spec, SRTFScheduler(), collect_node_intervals=False, mode=mode
-            ).run(trace)
+        srtf = Simulator(spec, SRTFScheduler(), collect_node_intervals=False)
+        for res in (srtf.run(trace), sim_oracle.run(srtf, trace)):
             assert len(res.node_intervals) == 0
             assert res.node_intervals["node"].dtype == np.int64
-        fast = Simulator(spec, SJFScheduler(), collect_node_intervals=False).run(trace)
-        ref = Simulator(
-            spec, SJFScheduler(), collect_node_intervals=False, mode="reference"
-        ).run(trace)
-        assert_replays_identical(fast, ref)
+        sjf = Simulator(spec, SJFScheduler(), collect_node_intervals=False)
+        assert_replays_identical(sjf.run(trace), sim_oracle.run(sjf, trace))
 
     def test_empty_trace(self):
         spec = make_spec()
         fast = Simulator(spec, FIFOScheduler()).run(make_trace([]))
-        ref = Simulator(spec, FIFOScheduler(), mode="reference").run(make_trace([]))
+        ref = sim_oracle.run(Simulator(spec, FIFOScheduler()), make_trace([]))
         assert_replays_identical(fast, ref)
 
 
@@ -134,8 +132,8 @@ class TestNodeEventParity:
         events = _random_node_events(rng, nodes * n_vcs, 1000)
         for sched in (FIFOScheduler(), SJFScheduler(), SRTFScheduler()):
             try:
-                ref = Simulator(spec, sched, mode="reference").run(
-                    trace, node_events=events
+                ref = sim_oracle.run(
+                    Simulator(spec, sched), trace, node_events=events
                 )
             except (ValueError, RuntimeError) as exc:
                 with pytest.raises(type(exc)) as excinfo:
@@ -151,8 +149,8 @@ class TestNodeEventParity:
         spec = make_spec(nodes=2, gpn=8)
         trace = make_trace([(0, 8, 50), (20, 16, 30)])
         events = _node_events_table([(10, 0, 0), (100, 0, 1)])
-        ref = Simulator(spec, FIFOScheduler(), mode="reference").run(
-            trace, node_events=events
+        ref = sim_oracle.run(
+            Simulator(spec, FIFOScheduler()), trace, node_events=events
         )
         fast = Simulator(spec, FIFOScheduler()).run(trace, node_events=events)
         assert_replays_identical(fast, ref)
@@ -176,8 +174,8 @@ class TestNodeEventParity:
         events = synthesize_node_events(6, 5000.0, seed=11,
                                         burst_rate_per_day=40.0)
         assert len(events)
-        ref = Simulator(spec, FIFOScheduler(), mode="reference").run(
-            trace, node_events=events
+        ref = sim_oracle.run(
+            Simulator(spec, FIFOScheduler()), trace, node_events=events
         )
         fast = Simulator(spec, FIFOScheduler()).run(trace, node_events=events)
         assert_replays_identical(fast, ref)
@@ -197,8 +195,8 @@ class TestNodeEventParity:
         trace = make_trace([(0, 4, 30)])
         events = _node_events_table(rows)
         with pytest.raises(ValueError, match=match) as ref_exc:
-            Simulator(spec, FIFOScheduler(), mode="reference").run(
-                trace, node_events=events
+            sim_oracle.run(
+                Simulator(spec, FIFOScheduler()), trace, node_events=events
             )
         with pytest.raises(ValueError) as fast_exc:
             Simulator(spec, FIFOScheduler()).run(trace, node_events=events)
@@ -231,7 +229,7 @@ class TestClusterParity:
             (common.EVAL_MONTH + 1) * common.MONTH_SECONDS,
         )
         spec = common.cluster_spec(cluster)
-        ref = Simulator(spec, sched_cls(), mode="reference").run(sept)
+        ref = sim_oracle.run(Simulator(spec, sched_cls()), sept)
         fast = Simulator(spec, sched_cls()).run(sept)
         assert_replays_identical(fast, ref)
 
@@ -241,16 +239,12 @@ class TestClusterParity:
 
         trace = slice_period(common.philly_trace(), 0, 20 * SECONDS_PER_DAY)
         spec = common.philly_generator().spec
-        ref = Simulator(spec, sched_cls(), mode="reference").run(trace)
+        ref = sim_oracle.run(Simulator(spec, sched_cls()), trace)
         fast = Simulator(spec, sched_cls()).run(trace)
         assert_replays_identical(fast, ref)
 
 
 class TestModeKnob:
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode must be one of"):
-            Simulator(make_spec(), FIFOScheduler(), mode="turbo")
-
     def test_restrict_slices_jobs_keeps_telemetry(self):
         trace = make_trace([(0, 8, 100), (10, 4, 50), (20, 2, 25)])
         res = Simulator(make_spec(nodes=2), FIFOScheduler()).run(trace)

@@ -20,6 +20,8 @@ from repro.sched import FIFOScheduler, SJFScheduler, SRTFScheduler
 from repro.sim import Simulator
 from repro.traces import ClusterSpec, VCSpec
 
+from oracles import sim as sim_oracle
+
 
 def _spec(nodes: int, gpn: int = 8) -> ClusterSpec:
     return ClusterSpec(
@@ -140,8 +142,9 @@ def test_fast_engine_matches_reference(jobs):
     cluster-scale suite)."""
     trace = _trace(jobs)
     for sched in (FIFOScheduler(), SJFScheduler(), SRTFScheduler()):
-        ref = Simulator(_spec(nodes=2), sched, mode="reference").run(trace)
-        fast = Simulator(_spec(nodes=2), sched).run(trace)
+        sim = Simulator(_spec(nodes=2), sched)
+        ref = sim_oracle.run(sim, trace)
+        fast = sim.run(trace)
         assert fast.start_times.tobytes() == ref.start_times.tobytes()
         assert fast.end_times.tobytes() == ref.end_times.tobytes()
         assert fast.preemptions.tobytes() == ref.preemptions.tobytes()
